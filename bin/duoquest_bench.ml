@@ -25,11 +25,7 @@ let run list quick ids =
     (* DUOQUEST_DOMAINS > 1 shards workload generation and the
        simulation runs over one shared pool (results are identical to
        the sequential run; only wall-clock changes). *)
-    let domains =
-      Duocore.Enumerate.effective_domains
-        { Duocore.Enumerate.default_config with
-          Duocore.Enumerate.domains = Duocore.Enumerate.domains_from_env () }
-    in
+    let domains = Duocore.Enumerate.domains_from_env () in
     let pool =
       if domains > 1 then Some (Duopar.Pool.create ~domains) else None
     in

@@ -60,14 +60,13 @@ let time_budget_arg =
     & info [ "time-budget" ] ~docv:"SECONDS"
         ~doc:"Per-session active-stepping time budget.")
 
+(* Accepted for older launch scripts; a session always runs on one
+   domain, so any other value is an error. *)
 let domains_arg =
   Arg.(
-    value
-    & opt (some int) None
+    value & opt int 1
     & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the shared speculation pool (default: \
-           DUOQUEST_DOMAINS, clamped to the cores available).")
+        ~doc:"Must be 1: each session is enumerated sequentially.")
 
 let listen_unix path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -85,40 +84,40 @@ let listen_tcp port =
 
 let run socket port n_dbs seed max_sessions slice max_pops max_candidates
     time_budget domains =
-  let session_config =
-    { Enumerate.default_config with
-      Enumerate.max_pops;
-      max_candidates;
-      time_budget_s = time_budget;
-      domains = (match domains with
-                | Some d -> d
-                | None -> Enumerate.domains_from_env ()) }
-  in
-  let config =
-    { Duoserve.Server.max_sessions; slice_pops = slice; session_config }
-  in
-  let split =
-    Duobench.Spider_gen.mini ~seed ~n_dbs:(max 1 n_dbs) ~per_db:1 ()
-  in
-  let server = Duoserve.Server.create config split.Duobench.Spider_gen.databases in
-  let listen, where =
-    match port with
-    | Some p -> (listen_tcp p, Printf.sprintf "127.0.0.1:%d" p)
-    | None -> (listen_unix socket, socket)
-  in
-  Printf.printf "duoserve: %d databases, %d worker domains, listening on %s\n%!"
-    (List.length split.Duobench.Spider_gen.databases)
-    (Enumerate.effective_domains session_config)
-    where;
-  Fun.protect
-    ~finally:(fun () ->
-      Duoserve.Server.destroy server;
+  if domains <> 1 then
+    `Error (false, Printf.sprintf "--domains %d: only 1 is supported" domains)
+  else begin
+    let session_config =
+      { Enumerate.default_config with
+        Enumerate.max_pops;
+        max_candidates;
+        time_budget_s = time_budget }
+    in
+    let config =
+      { Duoserve.Server.max_sessions; slice_pops = slice; session_config }
+    in
+    let split =
+      Duobench.Spider_gen.mini ~seed ~n_dbs:(max 1 n_dbs) ~per_db:1 ()
+    in
+    let server = Duoserve.Server.create config split.Duobench.Spider_gen.databases in
+    let listen, where =
       match port with
-      | None -> ( try Unix.unlink socket with Unix.Unix_error _ -> ())
-      | Some _ -> ())
-    (fun () -> Duoserve.Server.serve server ~listen);
-  Printf.printf "duoserve: drained, bye\n%!";
-  `Ok ()
+      | Some p -> (listen_tcp p, Printf.sprintf "127.0.0.1:%d" p)
+      | None -> (listen_unix socket, socket)
+    in
+    Printf.printf "duoserve: %d databases, listening on %s\n%!"
+      (List.length split.Duobench.Spider_gen.databases)
+      where;
+    Fun.protect
+      ~finally:(fun () ->
+        Duoserve.Server.destroy server;
+        match port with
+        | None -> ( try Unix.unlink socket with Unix.Unix_error _ -> ())
+        | Some _ -> ())
+      (fun () -> Duoserve.Server.serve server ~listen);
+    Printf.printf "duoserve: drained, bye\n%!";
+    `Ok ()
+  end
 
 let () =
   let doc = "Serve concurrent Duoquest synthesis sessions over a socket" in

@@ -257,133 +257,82 @@ let property1_prop ((sc : Gen.scenario), seed) =
   in
   walk Duocore.Partial.root 40
 
-(* Duopar determinism: enumeration with worker domains is observably
-   identical to the sequential run — same candidate queries in the same
-   emission order, same pop/push counts, and the same per-stage prune
-   counts.  This is the contract that makes [domains] a pure deployment
-   knob (DESIGN.md, "Duopar"): speculation must never leak into results
-   or accounting.  Seed picks the domain count (2..5) and whether
-   partial-query pruning is on. *)
-let parallel_determinism_prop ((sc : Gen.scenario), seed) =
+(* Key coarsening: [Partial.canonical_key] is a function of
+   [Partial.key] — states with equal keys have equal canonical keys — so
+   the enumerator's one visited set, keyed by the canonical key, also
+   suppresses every exact repeat.  States come from seeded random walks
+   that record every child of each expansion, so sibling forks, join-path
+   revisits and repeats across walks all meet in one table. *)
+let key_coarsening_prop ((sc : Gen.scenario), seed) =
+  let st = Random.State.make [| seed |] in
   let ctx = ctx_of sc in
-  let domains = 2 + (seed mod 4) in
-  let prune_partial = seed land 1 = 0 in
-  let run domains =
-    let config =
-      { Duocore.Enumerate.default_config with
-        Duocore.Enumerate.max_pops = 600;
-        max_candidates = 10;
-        time_budget_s = 20.0;
-        prune_partial;
-        domains;
-        (* exercise the speculative machinery even on one core *)
-        overcommit = true }
-    in
-    Duocore.Enumerate.run config ctx sc.Gen.sc_db ~tsq:(Some sc.Gen.sc_tsq)
-      ~literals:[] ()
+  let guided = seed land 1 = 0 in
+  let hints = Duocore.Enumerate.hints_of_tsq sc.Gen.sc_tsq in
+  let seen : (string, string) Hashtbl.t = Hashtbl.create 256 in
+  let check (t : Duocore.Partial.t) =
+    let k = Duocore.Partial.key t in
+    let ck = Duocore.Partial.canonical_key t in
+    match Hashtbl.find_opt seen k with
+    | None -> Hashtbl.replace seen k ck
+    | Some ck' when ck' = ck -> ()
+    | Some ck' ->
+        QCheck.Test.fail_reportf
+          "equal keys, different canonical keys:\nkey:   %s\ncanon: %s\ncanon: %s"
+          k ck' ck
   in
-  let seq = run 1 in
-  let par = run domains in
-  let sigs (o : Duocore.Enumerate.outcome) =
-    List.map
-      (fun (c : Duocore.Enumerate.candidate) ->
-        (Duosql.Pretty.query c.Duocore.Enumerate.cand_query,
-         c.Duocore.Enumerate.cand_pops))
-      o.Duocore.Enumerate.out_candidates
+  let rec walk state steps =
+    check state;
+    if steps > 0 then
+      match Duocore.Enumerate.expand ~guided hints ctx state with
+      | [] -> ()
+      | children ->
+          List.iter check children;
+          walk
+            (List.nth children (Random.State.int st (List.length children)))
+            (steps - 1)
   in
-  let prunes (o : Duocore.Enumerate.outcome) =
-    List.map
-      (Duocore.Verify.pruned_by o.Duocore.Enumerate.out_stats)
-      Duocore.Verify.all_stages
-  in
-  if sigs seq <> sigs par then
-    QCheck.Test.fail_reportf
-      "candidates diverge at domains=%d:\nseq: %s\npar: %s" domains
-      (String.concat " | " (List.map fst (sigs seq)))
-      (String.concat " | " (List.map fst (sigs par)))
-  else if
-    seq.Duocore.Enumerate.out_pops <> par.Duocore.Enumerate.out_pops
-    || seq.Duocore.Enumerate.out_pushed <> par.Duocore.Enumerate.out_pushed
-  then
-    QCheck.Test.fail_reportf
-      "loop accounting diverges at domains=%d: pops %d/%d pushes %d/%d"
-      domains seq.Duocore.Enumerate.out_pops par.Duocore.Enumerate.out_pops
-      seq.Duocore.Enumerate.out_pushed par.Duocore.Enumerate.out_pushed
-  else if prunes seq <> prunes par then
-    QCheck.Test.fail_reportf "prune counts diverge at domains=%d" domains
-  else true
+  for _ = 1 to 20 do
+    walk Duocore.Partial.root 40
+  done;
+  true
 
-(* Adaptive determinism (Duopar v2): the speculation round size is a pure
-   performance knob.  Whatever the controller does — the AIMD law, the
-   fixed v1 round, or a seed-derived adversarial [spec_schedule]
-   thrashing between the floor and past the ceiling — and whether the
-   task arena is on or off, the candidates, loop accounting and prune
-   counts are bit-identical to the sequential run.  This is the contract
-   that lets the controller adapt freely at runtime. *)
-let adaptive_determinism_prop ((sc : Gen.scenario), seed) =
+(* Header hints: expansion under a sketch's hints never proposes a child
+   whose projection count or slot types contradict the sketch's type
+   annotations ({!Duocore.Verify.verify_column_types}) — why the cascade
+   needs no types stage.  Sketches wider than the 4 columns expansion
+   can build admit no candidate at all and are skipped. *)
+let header_types_prop ((sc : Gen.scenario), seed) =
+  let st = Random.State.make [| seed |] in
   let ctx = ctx_of sc in
-  let domains = 2 + (seed mod 3) in
-  (* adversarial schedule: seed-derived sizes in [-1, 30], thrashing
-     through floor-degenerate rounds and ceiling clamps *)
-  let schedule i = (((seed / 4) + (i * 7)) mod 32) - 1 in
-  let run config =
-    Duocore.Enumerate.run config ctx sc.Gen.sc_db ~tsq:(Some sc.Gen.sc_tsq)
+  let guided = seed land 1 = 0 in
+  let hints = Duocore.Enumerate.hints_of_tsq sc.Gen.sc_tsq in
+  let env =
+    Duocore.Verify.make_env ~db:sc.Gen.sc_db ~tsq:(Some sc.Gen.sc_tsq)
       ~literals:[] ()
   in
-  let base =
-    { Duocore.Enumerate.default_config with
-      Duocore.Enumerate.max_pops = 400;
-      max_candidates = 10;
-      time_budget_s = 20.0;
-      overcommit = true }
+  let rec walk state steps =
+    steps <= 0
+    ||
+    match Duocore.Enumerate.expand ~guided hints ctx state with
+    | [] -> true
+    | children -> (
+        match
+          List.find_opt
+            (fun c -> not (Duocore.Verify.verify_column_types env c))
+            children
+        with
+        | Some c ->
+            QCheck.Test.fail_reportf "child contradicts the sketch's types: %s"
+              (Duocore.Partial.to_string c)
+        | None ->
+            walk
+              (List.nth children (Random.State.int st (List.length children)))
+              (steps - 1))
   in
-  let seq = run { base with Duocore.Enumerate.domains = 1 } in
-  let regimes =
-    [
-      ("adaptive", { base with Duocore.Enumerate.domains });
-      ("fixed", { base with Duocore.Enumerate.domains; spec_adaptive = false });
-      ( "adversarial",
-        { base with
-          Duocore.Enumerate.domains;
-          spec_schedule = Some schedule } );
-      ( "no-arena",
-        { base with
-          Duocore.Enumerate.domains;
-          spec_schedule = Some schedule;
-          arena = false } );
-    ]
-  in
-  let sigs (o : Duocore.Enumerate.outcome) =
-    List.map
-      (fun (c : Duocore.Enumerate.candidate) ->
-        (Duosql.Pretty.query c.Duocore.Enumerate.cand_query,
-         c.Duocore.Enumerate.cand_pops))
-      o.Duocore.Enumerate.out_candidates
-  in
-  let prunes (o : Duocore.Enumerate.outcome) =
-    List.map
-      (Duocore.Verify.pruned_by o.Duocore.Enumerate.out_stats)
-      Duocore.Verify.all_stages
-  in
-  List.for_all
-    (fun (name, config) ->
-      let par = run config in
-      if sigs seq <> sigs par then
-        QCheck.Test.fail_reportf
-          "%s schedule diverges at domains=%d:\nseq: %s\npar: %s" name domains
-          (String.concat " | " (List.map fst (sigs seq)))
-          (String.concat " | " (List.map fst (sigs par)))
-      else if
-        seq.Duocore.Enumerate.out_pops <> par.Duocore.Enumerate.out_pops
-        || seq.Duocore.Enumerate.out_pushed <> par.Duocore.Enumerate.out_pushed
-      then
-        QCheck.Test.fail_reportf
-          "%s schedule: loop accounting diverges at domains=%d" name domains
-      else if prunes seq <> prunes par then
-        QCheck.Test.fail_reportf
-          "%s schedule: prune counts diverge at domains=%d" name domains
-      else true)
-    regimes
+  match Duocore.Tsq.width sc.Gen.sc_tsq with
+  | Some w when w > 4 -> true
+  | Some _ | None ->
+      List.for_all (fun _ -> walk Duocore.Partial.root 40) (List.init 10 Fun.id)
 
 (* Resume determinism: a run paused via [Enumerate.step] after any number
    of pops and resumed later is observably identical to the uninterrupted
@@ -391,21 +340,17 @@ let adaptive_determinism_prop ((sc : Gen.scenario), seed) =
    per-stage prunes, same exhaustion flag.  This is the contract Duoserve
    time-slicing rests on: the scheduler may suspend a session at any
    slice boundary without changing what it computes.  Seed picks the
-   slice size (1..12), the domain count (1..3) and whether partial-query
-   pruning is on. *)
+   slice size (1..12) and whether partial-query pruning is on. *)
 let resume_determinism_prop ((sc : Gen.scenario), seed) =
   let ctx = ctx_of sc in
   let slice = 1 + (seed mod 12) in
-  let domains = 1 + (seed / 12 mod 3) in
   let prune_partial = seed land 1 = 0 in
   let config =
     { Duocore.Enumerate.default_config with
       Duocore.Enumerate.max_pops = 400;
       max_candidates = 10;
       time_budget_s = 20.0;
-      prune_partial;
-      domains;
-      overcommit = true }
+      prune_partial }
   in
   let full =
     Duocore.Enumerate.run config ctx sc.Gen.sc_db ~tsq:(Some sc.Gen.sc_tsq)
@@ -416,15 +361,12 @@ let resume_determinism_prop ((sc : Gen.scenario), seed) =
       ~literals:[] ()
   in
   let stepped =
-    Fun.protect
-      ~finally:(fun () -> Duocore.Enumerate.release st)
-      (fun () ->
-        let rec go () =
-          match Duocore.Enumerate.step ~max_pops:slice st with
-          | Duocore.Enumerate.Running -> go ()
-          | Duocore.Enumerate.Finished -> Duocore.Enumerate.outcome st
-        in
-        go ())
+    let rec go () =
+      match Duocore.Enumerate.step ~max_pops:slice st with
+      | Duocore.Enumerate.Running -> go ()
+      | Duocore.Enumerate.Finished -> Duocore.Enumerate.outcome st
+    in
+    go ()
   in
   let sigs (o : Duocore.Enumerate.outcome) =
     List.map
@@ -440,8 +382,7 @@ let resume_determinism_prop ((sc : Gen.scenario), seed) =
   in
   if sigs full <> sigs stepped then
     QCheck.Test.fail_reportf
-      "candidates diverge at slice=%d domains=%d:\nrun:  %s\nstep: %s" slice
-      domains
+      "candidates diverge at slice=%d:\nrun:  %s\nstep: %s" slice
       (String.concat " | " (List.map fst (sigs full)))
       (String.concat " | " (List.map fst (sigs stepped)))
   else if
@@ -936,12 +877,12 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(500 * mult)
       ~name:"Duolint soundness: rejected queries match no true answer"
       arb_seeded lint_soundness_prop;
-    QCheck.Test.make ~count:(6 * mult)
-      ~name:"Duopar determinism: parallel enumeration = sequential"
-      arb_seeded parallel_determinism_prop;
-    QCheck.Test.make ~count:(6 * mult)
-      ~name:"adaptive determinism: any controller schedule = sequential"
-      arb_seeded adaptive_determinism_prop;
+    QCheck.Test.make ~count:(20 * mult)
+      ~name:"key coarsening: equal Partial.key implies equal canonical_key"
+      arb_seeded key_coarsening_prop;
+    QCheck.Test.make ~count:(20 * mult)
+      ~name:"header hints: expanded children agree with the sketch's types"
+      arb_seeded header_types_prop;
     QCheck.Test.make ~count:(6 * mult)
       ~name:"resume determinism: stepped enumeration = uninterrupted run"
       arb_seeded resume_determinism_prop;

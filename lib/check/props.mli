@@ -13,8 +13,12 @@
       has a completion satisfying the TSQ ({!Soundness.check});
     - {b Property 1}: every expansion's children partition the parent's
       confidence mass (join-path forks exempt by design);
-    - {b Duopar determinism}: enumeration with worker domains is
-      observably identical to the sequential run;
+    - {b key coarsening}: states with equal {!Duocore.Partial.key}s have
+      equal {!Duocore.Partial.canonical_key}s, so the enumerator's one
+      visited set (keyed by the canonical key) subsumes exact dedup;
+    - {b header hints}: expansion under a sketch's hints never proposes a
+      child whose projections contradict the sketch's type annotations,
+      so the cascade needs no types stage;
     - {b resume determinism}: a run time-sliced via {!Duocore.Enumerate.step}
       and resumed is observably identical to the uninterrupted run — the
       contract Duoserve's session scheduler rests on;
@@ -44,6 +48,8 @@ val columnar_prop : Gen.scenario -> bool
 val batch_prop : Gen.scenario -> bool
 val soundness_prop : Gen.scenario -> bool
 val property1_prop : Gen.scenario * int -> bool
+val key_coarsening_prop : Gen.scenario * int -> bool
+val header_types_prop : Gen.scenario * int -> bool
 val duosem_equiv_prop : Gen.scenario -> bool
 val duosem_card_prop : Gen.scenario -> bool
 val domain_lattice_prop : int -> bool

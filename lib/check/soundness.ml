@@ -26,7 +26,6 @@ let first_failing_stage env (t : Partial.t) =
   else if not (Verify.verify_clauses env t) then Some "clauses"
   else if not (Verify.verify_cardinality env t) then Some "cardinality"
   else if not (Verify.verify_semantics env t) then Some "semantics"
-  else if not (Verify.verify_column_types env t) then Some "types"
   else if not (Verify.verify_by_column env t) then Some "column"
   else if Verify.can_check_rows t && not (Verify.verify_by_row env t) then
     Some "row"

@@ -21,7 +21,7 @@ let mode_name = function
   | `No_pq -> "NoPQ"
 
 let prepare ?(config = Enumerate.default_config) ?(mode = `Duoquest) ?tsq
-    ?literals ?relcache ?pool ?on_candidate session ~nlq () =
+    ?literals ?relcache ?on_candidate session ~nlq () =
   let config =
     match mode with
     | `Duoquest | `Nli -> config
@@ -43,20 +43,16 @@ let prepare ?(config = Enumerate.default_config) ?(mode = `Duoquest) ?tsq
   let literal_values =
     List.map (fun l -> l.Duonl.Nlq.lit_value) analyzed.Duonl.Nlq.literals
   in
-  Enumerate.init config ctx session.s_db ~index:session.s_index ?relcache ?pool
-    ~tsq ~literals:literal_values ?on_candidate ()
+  Enumerate.init config ctx session.s_db ~index:session.s_index ?relcache ~tsq
+    ~literals:literal_values ?on_candidate ()
 
-let synthesize ?config ?mode ?tsq ?literals ?relcache ?pool ?on_candidate
-    session ~nlq () =
+let synthesize ?config ?mode ?tsq ?literals ?relcache ?on_candidate session
+    ~nlq () =
   let state =
-    prepare ?config ?mode ?tsq ?literals ?relcache ?pool ?on_candidate session
-      ~nlq ()
+    prepare ?config ?mode ?tsq ?literals ?relcache ?on_candidate session ~nlq ()
   in
-  Fun.protect
-    ~finally:(fun () -> Enumerate.release state)
-    (fun () ->
-      ignore (Enumerate.step state);
-      Enumerate.outcome state)
+  ignore (Enumerate.step state);
+  Enumerate.outcome state
 
 let rank_of outcome ~gold =
   let rec find i = function

@@ -37,8 +37,6 @@ val mode_name : mode -> string
     - [config]: enumeration budgets (see {!Enumerate.config}).
     - [relcache]: a relation cache shared across runs on the same
       database (sound while the database is immutable).
-    - [pool]: a caller-owned {!Duopar.Pool.t} reused across runs instead
-      of spawning and joining domains per call.
     - [on_candidate]: streaming callback, as the front-end displays
       candidates one at a time. *)
 val synthesize :
@@ -47,7 +45,6 @@ val synthesize :
   ?tsq:Tsq.t ->
   ?literals:Duodb.Value.t list ->
   ?relcache:Duoengine.Executor.relation_cache ->
-  ?pool:Duopar.Pool.t ->
   ?on_candidate:(Enumerate.candidate -> unit) ->
   session ->
   nlq:string ->
@@ -65,7 +62,6 @@ val prepare :
   ?tsq:Tsq.t ->
   ?literals:Duodb.Value.t list ->
   ?relcache:Duoengine.Executor.relation_cache ->
-  ?pool:Duopar.Pool.t ->
   ?on_candidate:(Enumerate.candidate -> unit) ->
   session ->
   nlq:string ->

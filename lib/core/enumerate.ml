@@ -12,18 +12,6 @@ type config = {
   static_rules : bool;
   static_penalty : float;
   max_frontier : int;
-  domains : int;
-  overcommit : bool;
-  spec_adaptive : bool;
-      (* adaptive speculative round size (Duopar v2); [false] pins the
-         v1 fixed [4 * domains] round for A/B baselines *)
-  spec_schedule : (int -> int) option;
-      (* test hook: force round [i]'s size (clamped to the controller's
-         bounds) — determinism must hold under any schedule *)
-  arena : bool;
-      (* reusable task arenas: recycle round buffers and per-task stats
-         records so a steady-state round allocates (near-)zero fresh
-         heap; [false] keeps the v1 allocate-per-task profile *)
 }
 
 let default_config =
@@ -38,27 +26,15 @@ let default_config =
     static_rules = true;
     static_penalty = 0.85;
     max_frontier = 400_000;
-    domains = 1;
-    overcommit = false;
-    spec_adaptive = true;
-    spec_schedule = None;
-    arena = true;
   }
 
-(* Speculation only pays off when the extra domains map to real cores:
-   on a single-core host the workers time-share with the committing loop
-   and every round is pure overhead (the 0.34x "speedup" of the first
-   Duopar bench).  The default path therefore clamps the domain count to
-   the hardware; [overcommit] keeps the old behavior for tests that must
-   exercise the parallel machinery regardless of the machine. *)
-let effective_domains config =
-  let requested = max 1 (min config.domains 64) in
-  if config.overcommit then requested
-  else min requested (max 1 (Domain.recommended_domain_count ()))
+(* A run is one sequential loop (see DESIGN.md on why intra-run
+   speculation was removed). *)
+let effective_domains (_ : config) = 1
 
-(* DUOQUEST_DOMAINS=<n> is the deployment-side knob (CLI, bench,
-   simulation); unset, unparsable or out-of-range values fall back to
-   sequential. *)
+(* DUOQUEST_DOMAINS=<n> sizes the pool that shards independent tasks
+   (duoquest_bench); unset, unparsable or out-of-range values fall back
+   to sequential. *)
 let domains_from_env () =
   match Sys.getenv_opt "DUOQUEST_DOMAINS" with
   | None -> 1
@@ -86,14 +62,8 @@ type outcome = {
   out_exhausted : bool;
   out_dropped : int;
   out_domains : int;
-  out_domain_stats : Verify.stats array;
-  out_spec_rounds : int;
   out_spec_tasks : int;
   out_spec_hits : int;
-  out_spec_round_size : int;
-  out_spec_ewma : float;
-  out_spec_grows : int;
-  out_spec_shrinks : int;
   out_rebases : int;
   out_rebase_kept : int;
   out_rebase_dropped : int;
@@ -408,13 +378,11 @@ let expand ~guided hints ctx (t : Partial.t) =
 
 exception Budget_exhausted
 
-(* One verdict pass over an expansion's children.  Both the sequential
-   loop and the Duopar speculative tasks go through this single function,
-   so verdicts and per-stage prune counts are independent of [domains].
-   With partial-query pruning the whole sibling set runs through
-   {!Verify.verify_batch}, which shares one base scan across the
-   children's uncached row probes; under NoPQ only complete children pay
-   the cascade (partials get at most the free static stage). *)
+(* One verdict pass over an expansion's children.  With partial-query
+   pruning the whole sibling set runs through {!Verify.verify_batch},
+   which shares one base scan across the children's uncached row probes;
+   under NoPQ only complete children pay the cascade (partials get at
+   most the free static stage). *)
 let judge env config children =
   if config.prune_partial then Verify.verify_batch env children
   else
@@ -426,94 +394,6 @@ let judge env config children =
         in
         (child, ok))
       children
-
-(* The result of speculatively processing one frontier state on some
-   domain: the expanded children with their cascade verdicts, plus the
-   private stats and profile times the task accumulated.  Expansion and
-   verification are pure functions of the state (the database, model
-   context and TSQ are immutable during a run; every cache only memoizes
-   deterministic results), so a task's verdicts are independent of which
-   domain ran it or when.  Stats are merged into the run's totals only
-   when the state is actually popped by the sequential committing loop —
-   speculation on states that are never popped leaves no trace, keeping
-   prune counts identical to a [domains = 1] run. *)
-type task_result = {
-  (* mutable so the task arena can recycle one record per slot across
-     rounds ([tr_stats] is zeroed with [Verify.reset_stats]) instead of
-     allocating a record + stats + timing floats per task *)
-  mutable tr_worker : int;
-  mutable tr_children : (Partial.t * bool) list;
-  tr_stats : Verify.stats;
-  mutable tr_expand_s : float;
-  mutable tr_verify_s : float;
-}
-
-let fresh_result () =
-  {
-    tr_worker = 0;
-    tr_children = [];
-    tr_stats = Verify.new_stats ();
-    tr_expand_s = 0.0;
-    tr_verify_s = 0.0;
-  }
-
-(* Reusable per-round scratch (Duopar v2 task arena).  All arrays are
-   sized once to the controller's ceiling, so a steady-state round does
-   no array allocation; [task_result] records circulate through
-   round slot -> speculation memo -> (commit) -> free stack.  The
-   aliasing contract: a record belongs to exactly one owner at a time —
-   a round slot while its task runs, the memo entry afterwards, and the
-   free stack once the committing loop has merged (or a rebase dropped)
-   it — so recycling can never let two tasks write one stats record. *)
-type arena = {
-  ar_entries : (Partial.t * int) array;  (* [Frontier.pop_entries_into] buffer *)
-  ar_tasks : Partial.t array;  (* states picked for this round *)
-  ar_results : task_result array;  (* slot -> recycled result record *)
-  ar_free : task_result array;  (* stack of recycled records *)
-  mutable ar_n_free : int;
-  mutable ar_fn : (worker:int -> int -> unit) option;
-      (* the round body closure, built once on first use *)
-}
-
-let make_arena ~capacity =
-  {
-    ar_entries = Array.make capacity (Partial.root, -1);
-    ar_tasks = Array.make capacity Partial.root;
-    ar_results = Array.make capacity (fresh_result ());
-    ar_free = Array.make (4 * capacity) (fresh_result ());
-    ar_n_free = 0;
-    ar_fn = None;
-  }
-
-(* The arena path memoizes speculative results by the *physical* state:
-   the committing loop pops the very same [Partial.t] object the round
-   staged (the frontier stores states, never copies them), so identity
-   is an exact key and no [Partial.key] string is ever rendered on the
-   speculation hot path.  States are immutable, so the bounded
-   structural [Hashtbl.hash] of an object can never drift between the
-   staging [replace] and the commit [find]. *)
-module Phys_tbl = Hashtbl.Make (struct
-  type t = Partial.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-(* Recycle a result record whose owner (memo entry) is done with it; a
-   full stack simply drops the record to the GC — rare, harmless. *)
-let arena_recycle ar r =
-  if ar.ar_n_free < Array.length ar.ar_free then begin
-    r.tr_children <- [];  (* do not pin children past commit *)
-    ar.ar_free.(ar.ar_n_free) <- r;
-    ar.ar_n_free <- ar.ar_n_free + 1
-  end
-
-let arena_take ar =
-  if ar.ar_n_free > 0 then begin
-    ar.ar_n_free <- ar.ar_n_free - 1;
-    ar.ar_free.(ar.ar_n_free)
-  end
-  else fresh_result ()
 
 (* --- resumable enumeration state ---------------------------------------
    Everything [run] used to keep in closure-captured refs now lives in an
@@ -531,28 +411,13 @@ type state = {
   st_config : config;
   st_ctx : Model.ctx;
   mutable st_hints : hints;  (* retargeted by [rebase] *)
-  st_domains : int;
-  st_envs : Verify.env array;  (* index 0 is the committing loop's env *)
-  st_stats : Verify.stats;
-  st_domain_stats : Verify.stats array;
+  mutable st_env : Verify.env;  (* retargeted by [rebase] *)
   st_frontier : Frontier.t;
-  st_visited : (string, unit) Hashtbl.t;
   st_canon : (string, unit) Hashtbl.t;
-      (* Duosem canonical keys of admitted states: a second visited-set
-         layer collapsing states that differ only by predicate order or
-         by equivalent predicate spellings ([Partial.canonical_key]) *)
+      (* the visited set: [Partial.canonical_key]s of admitted states
+         (see [push_fresh]) *)
   st_emitted : (string, unit) Hashtbl.t;
       (* Duosem canonical keys of emitted candidates *)
-  st_pool : Duopar.Pool.t option;
-  st_owns_pool : bool;
-  st_controller : Duopar.Controller.t option;
-      (* adaptive round-size controller; [None] pins the fixed
-         [4 * domains] v1 round *)
-  st_arena : arena option;  (* [None] = v1 allocate-per-task profile *)
-  st_memo : (string, task_result) Hashtbl.t;
-      (* v1 speculation memo, keyed by rendered [Partial.key] *)
-  st_memo_phys : task_result Phys_tbl.t;
-      (* arena-path speculation memo, keyed by physical state *)
   st_on_candidate : candidate -> unit;
   mutable st_candidates : candidate list;  (* newest first *)
   mutable st_n_candidates : int;
@@ -565,85 +430,28 @@ type state = {
   mutable st_rebase_dropped : int;
   mutable st_exhausted : bool;
   mutable st_finished : bool;
-  mutable st_released : bool;
   mutable st_elapsed_s : float;  (* active wall time across steps *)
   mutable st_expand_s : float;
   mutable st_verify_s : float;
-  mutable st_spec_rounds : int;
-  mutable st_spec_tasks : int;
-  mutable st_spec_hits : int;
 }
 
-let init config ctx db ?index ?relcache ?pool ~tsq ~literals
+let init config ctx db ?index ?relcache ~tsq ~literals
     ?(on_candidate = fun _ -> ()) () =
-  (* A caller-supplied pool fixes the domain count: the caller already
-     decided how much parallelism this process runs with (one pool per
-     server or bench process, shared across runs). *)
-  let domains =
-    match pool with
-    | Some p -> Duopar.Pool.domains p
-    | None -> effective_domains config
-  in
-  let stats = Verify.new_stats () in
-  let index =
-    (* Force the index on the caller's domain before any worker can race
-       to build it: environments share one immutable index. *)
-    if domains = 1 then index
-    else Some (match index with Some i -> i | None -> Duodb.Index.build db)
-  in
   let env =
-    Verify.make_env ~stats ~semantics:config.semantic_rules
+    Verify.make_env ~semantics:config.semantic_rules
       ~static:config.static_rules ?index ?relcache ~db ~tsq ~literals ()
-  in
-  let envs =
-    Array.init domains (fun d -> if d = 0 then env else Verify.fork_env env)
-  in
-  (* Committed per-domain work.  With [domains = 1] this aliases [stats],
-     so the sequential path keeps its single-record accounting. *)
-  let domain_stats =
-    if domains = 1 then [| stats |]
-    else Array.init domains (fun _ -> Verify.new_stats ())
   in
   let hints = match tsq with Some s -> hints_of_tsq s | None -> no_hints in
   let frontier = Frontier.create ~cap:config.max_frontier () in
   Frontier.push frontier Partial.root;
-  let pool, owns_pool =
-    if domains > 1 then
-      match pool with
-      | Some p -> (Some p, false)
-      | None -> (Some (Duopar.Pool.create ~domains), true)
-    else (None, false)
-  in
-  let controller =
-    if domains > 1 && (config.spec_adaptive || config.spec_schedule <> None)
-    then
-      Some (Duopar.Controller.create ?schedule:config.spec_schedule ~domains ())
-    else None
-  in
-  let arena =
-    (* capacity = the controller ceiling (8 * domains), which also covers
-       the fixed 4 * domains round, so fill never outgrows the arrays *)
-    if domains > 1 && config.arena then Some (make_arena ~capacity:(8 * domains))
-    else None
-  in
   {
     st_config = config;
     st_ctx = ctx;
     st_hints = hints;
-    st_domains = domains;
-    st_envs = envs;
-    st_stats = stats;
-    st_domain_stats = domain_stats;
+    st_env = env;
     st_frontier = frontier;
-    st_visited = Hashtbl.create 4096;
     st_canon = Hashtbl.create 4096;
     st_emitted = Hashtbl.create 64;
-    st_pool = pool;
-    st_owns_pool = owns_pool;
-    st_controller = controller;
-    st_arena = arena;
-    st_memo = Hashtbl.create 256;
-    st_memo_phys = Phys_tbl.create 256;
     st_on_candidate = on_candidate;
     st_candidates = [];
     st_n_candidates = 0;
@@ -654,22 +462,16 @@ let init config ctx db ?index ?relcache ?pool ~tsq ~literals
     st_rebase_dropped = 0;
     st_exhausted = false;
     st_finished = false;
-    st_released = false;
     st_elapsed_s = 0.0;
     st_expand_s = 0.0;
     st_verify_s = 0.0;
-    st_spec_rounds = 0;
-    st_spec_tasks = 0;
-    st_spec_hits = 0;
   }
 
 let finished s = s.st_finished
 
-let release s =
-  if not s.st_released then begin
-    s.st_released <- true;
-    if s.st_owns_pool then Option.iter Duopar.Pool.shutdown s.st_pool
-  end
+(* A run holds no domains, threads or descriptors: everything it owns
+   is garbage-collected heap. *)
+let release (_ : state) = ()
 
 (* Duolint warnings deprioritize at push time, never inside [expand]:
    expansion keeps children confidences summing to the parent's
@@ -677,7 +479,7 @@ let release s =
 let deprioritize s (child : Partial.t) =
   if not s.st_config.static_rules then child
   else
-    match Verify.static_warnings s.st_envs.(0) child with
+    match Verify.static_warnings s.st_env child with
     | 0 -> child
     | n ->
         {
@@ -687,170 +489,22 @@ let deprioritize s (child : Partial.t) =
             *. (s.st_config.static_penalty ** float_of_int n);
         }
 
+(* One visited set, keyed by [Partial.canonical_key].  A state's
+   canonical key is its [Partial.key] rendering with the predicates
+   canonicalized, so equal keys give equal canonical keys (Duocheck "key
+   coarsening"): exact repeats and states that differ only by predicate
+   order or equivalent spellings are both suppressed here, and counted
+   together in [dedup_semantic]. *)
 let push_fresh s (child : Partial.t) =
-  let key = Partial.key child in
-  if not (Hashtbl.mem s.st_visited key) then begin
-    Hashtbl.replace s.st_visited key ();
-    (* Second layer: collapse states whose decided content is Duosem-
-       canonically equal (predicate order, equivalent spellings).  Runs
-       only on the committing loop, so the collapse — like all dedup —
-       is deterministic across domain counts. *)
-    let ckey = Partial.canonical_key child in
-    if Hashtbl.mem s.st_canon ckey then
-      s.st_stats.Verify.dedup_semantic <- s.st_stats.Verify.dedup_semantic + 1
-    else begin
-      Hashtbl.replace s.st_canon ckey ();
-      Frontier.push s.st_frontier (deprioritize s child)
-    end
+  let ckey = Partial.canonical_key child in
+  if Hashtbl.mem s.st_canon ckey then begin
+    let stats = Verify.stats s.st_env in
+    stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1
   end
-
-let process s worker (p : Partial.t) =
-  let tstats = Verify.new_stats () in
-  let env_t = Verify.with_stats s.st_envs.(worker) tstats in
-  let t0 = Clock.mono () in
-  let children = expand ~guided:s.st_config.guided s.st_hints s.st_ctx p in
-  let t1 = Clock.mono () in
-  let verdicts = judge env_t s.st_config children in
-  let t2 = Clock.mono () in
-  (* [sync_relcache] copies the worker cache's *cumulative* counters
-     into the current record; merging those per task would multiply
-     them.  Per-domain cache numbers are re-derived from the caches
-     once, when the run finishes. *)
-  tstats.Verify.relcache_hits <- 0;
-  tstats.Verify.pushdown_builds <- 0;
-  {
-    tr_worker = worker;
-    tr_children = verdicts;
-    tr_stats = tstats;
-    tr_expand_s = t1 -. t0;
-    tr_verify_s = t2 -. t1;
-  }
-
-(* Arena variant of [process]: fill a recycled [task_result] in place.
-   Instead of copying the worker's env per task ([with_stats]), the
-   env's stats sink is retargeted in place — safe because each worker
-   owns its forked env, and worker 0's sink is restored by [fill] before
-   the committing loop runs again. *)
-let process_into s worker (p : Partial.t) (r : task_result) =
-  Verify.reset_stats r.tr_stats;
-  let env_t = s.st_envs.(worker) in
-  Verify.set_stats env_t r.tr_stats;
-  let t0 = Clock.mono () in
-  let children = expand ~guided:s.st_config.guided s.st_hints s.st_ctx p in
-  let t1 = Clock.mono () in
-  let verdicts = judge env_t s.st_config children in
-  let t2 = Clock.mono () in
-  (* zeroed for the same reason as in [process]: the relation-cache
-     mirrors are cumulative and re-derived at outcome time *)
-  r.tr_stats.Verify.relcache_hits <- 0;
-  r.tr_stats.Verify.pushdown_builds <- 0;
-  r.tr_worker <- worker;
-  r.tr_children <- verdicts;
-  r.tr_expand_s <- t1 -. t0;
-  r.tr_verify_s <- t2 -. t1
-
-(* One speculative pool round ahead of the committing loop: batch-pop the
-   top of the frontier, process every un-memoized incomplete state on some
-   domain, memoize (by physical state on the arena path, by rendered key
-   on the v1 path — [push_fresh] admits each key once, so either way a
-   memo entry belongs to exactly one live state), restore. *)
-let arena_round_fn s ar =
-  match ar.ar_fn with
-  | Some f -> f
-  | None ->
-      let f ~worker i = process_into s worker ar.ar_tasks.(i) ar.ar_results.(i) in
-      ar.ar_fn <- Some f;
-      f
-
-let fill s pool (p : Partial.t) =
-  (* Round size: the adaptive controller closes the books on the last
-     round (cumulative [st_spec_hits] gives it the commit delta) and
-     picks the next size; without a controller the v1 fixed round
-     stands.  A floor-sized round carries only [p], and [Pool.run _ 1]
-     runs inline — the sequential degeneration really is sequential. *)
-  let spec_batch =
-    match s.st_controller with
-    | Some c ->
-        let b = Duopar.Controller.begin_round c ~hits:s.st_spec_hits in
-        (* Budget awareness is part of the controller law: [p] already
-           consumed a pop, so at most [remaining] further states can be
-           popped this refinement — staging past that is guaranteed
-           waste (the fixed v1 round does exactly that on every run's
-           last round). *)
-        let remaining =
-          s.st_config.max_pops - (s.st_pops - s.st_pop_base)
-        in
-        max 1 (min b (remaining + 1))
-    | None -> s.st_domains * 4
-  in
-  s.st_spec_rounds <- s.st_spec_rounds + 1;
-  match s.st_arena with
-  | Some ar ->
-      (* Zero-allocation path: pop into the arena buffer, stage tasks
-         and recycled result records in the arena arrays, run, move the
-         records into the memo, restore.  [spec_batch] never exceeds the
-         arrays' capacity (controller ceiling). *)
-      let n_extra =
-        Frontier.pop_entries_into s.st_frontier ar.ar_entries (spec_batch - 1)
-      in
-      ar.ar_tasks.(0) <- p;
-      let n_tasks = ref 1 in
-      for i = 0 to n_extra - 1 do
-        let st, _ = ar.ar_entries.(i) in
-        if
-          (not (Partial.is_complete st))
-          && not (Phys_tbl.mem s.st_memo_phys st)
-        then begin
-          ar.ar_tasks.(!n_tasks) <- st;
-          incr n_tasks
-        end
-      done;
-      let n = !n_tasks in
-      for i = 0 to n - 1 do
-        ar.ar_results.(i) <- arena_take ar
-      done;
-      s.st_spec_tasks <- s.st_spec_tasks + n;
-      Option.iter
-        (fun c -> Duopar.Controller.launched c ~tasks:n)
-        s.st_controller;
-      Duopar.Pool.run pool n (arena_round_fn s ar);
-      (* [process_into] retargeted worker 0's (the caller's) stats sink;
-         point it back at the run record before the committing loop's
-         own verifications ([deprioritize]) resume. *)
-      Verify.set_stats s.st_envs.(0) s.st_stats;
-      for i = 0 to n - 1 do
-        Phys_tbl.replace s.st_memo_phys ar.ar_tasks.(i) ar.ar_results.(i);
-        ar.ar_tasks.(i) <- Partial.root
-      done;
-      Frontier.restore_array s.st_frontier ar.ar_entries n_extra
-  | None ->
-      let extras = Frontier.pop_entries s.st_frontier (spec_batch - 1) in
-      let tasks =
-        Array.of_list
-          (p
-          :: List.filter_map
-               (fun ((st : Partial.t), _) ->
-                 if
-                   Partial.is_complete st
-                   || Hashtbl.mem s.st_memo (Partial.key st)
-                 then None
-                 else Some st)
-               extras)
-      in
-      s.st_spec_tasks <- s.st_spec_tasks + Array.length tasks;
-      Option.iter
-        (fun c -> Duopar.Controller.launched c ~tasks:(Array.length tasks))
-        s.st_controller;
-      let results = Array.make (Array.length tasks) None in
-      Duopar.Pool.run pool (Array.length tasks) (fun ~worker i ->
-          results.(i) <- Some (process s worker tasks.(i)));
-      Array.iteri
-        (fun i st ->
-          match results.(i) with
-          | Some r -> Hashtbl.replace s.st_memo (Partial.key st) r
-          | None -> ())
-        tasks;
-      Frontier.restore s.st_frontier extras
+  else begin
+    Hashtbl.replace s.st_canon ckey ();
+    Frontier.push s.st_frontier (deprioritize s child)
+  end
 
 exception Slice_exhausted
 
@@ -878,8 +532,8 @@ let step ?max_pops s =
          list walk. *)
       let ckey = Duolint.Duosem.dedup_key q in
       if Hashtbl.mem s.st_emitted ckey then
-        s.st_stats.Verify.dedup_semantic <-
-          s.st_stats.Verify.dedup_semantic + 1
+        let stats = Verify.stats s.st_env in
+        stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1
       else begin
         Hashtbl.replace s.st_emitted ckey ();
         let c =
@@ -904,17 +558,14 @@ let step ?max_pops s =
       acc (Clock.mono () -. m0);
       r
     in
-    (* The sequential best-first loop stays the single committing loop: it
-       alone pops, emits, merges stats and pushes children, so candidate
-       order, dedup and prune accounting are decided exactly as with
-       [domains = 1]; worker domains merely precompute results for states
-       it is about to pop (see [fill]). *)
+    (* Algorithm 1: pop the best state, emit it if complete, otherwise
+       expand it, verify the children and push the survivors. *)
     (try
        while true do
          if s.st_pops >= pop_limit then raise Slice_exhausted;
          if Frontier.is_empty s.st_frontier then begin
            (* An empty frontier only proves exhaustion when compaction never
-              discarded a state: dropped states stay in [st_visited] and can
+              discarded a state: dropped states stay in [st_canon] and can
               never re-enter, so their subtrees were not enumerated. *)
            s.st_exhausted <- Frontier.dropped s.st_frontier = 0;
            raise Budget_exhausted
@@ -931,69 +582,25 @@ let step ?max_pops s =
              match Partial.to_query p with
              | Some q -> emit p q
              | None -> ())
-         | Some p -> (
+         | Some p ->
              s.st_pops <- s.st_pops + 1;
-             match s.st_pool with
-             | None ->
-                 let children =
-                   timed
-                     (fun d -> s.st_expand_s <- s.st_expand_s +. d)
-                     (fun () ->
-                       expand ~guided:config.guided s.st_hints s.st_ctx p)
-                 in
-                 (* verification can dominate a pop; respect the budget *)
+             let children =
+               timed
+                 (fun d -> s.st_expand_s <- s.st_expand_s +. d)
+                 (fun () -> expand ~guided:config.guided s.st_hints s.st_ctx p)
+             in
+             (* verification can dominate a pop; respect the budget *)
+             if over_time () then raise Budget_exhausted;
+             let verdicts =
+               timed
+                 (fun d -> s.st_verify_s <- s.st_verify_s +. d)
+                 (fun () -> judge s.st_env config children)
+             in
+             List.iter
+               (fun ((child : Partial.t), ok) ->
                  if over_time () then raise Budget_exhausted;
-                 let verdicts =
-                   timed
-                     (fun d -> s.st_verify_s <- s.st_verify_s +. d)
-                     (fun () -> judge s.st_envs.(0) config children)
-                 in
-                 List.iter
-                   (fun ((child : Partial.t), ok) ->
-                     if over_time () then raise Budget_exhausted;
-                     if ok then push_fresh s child)
-                   verdicts
-             | Some pool ->
-                 let r =
-                   match s.st_arena with
-                   | Some _ -> (
-                       (* Identity lookup: [p] is the object the round
-                          staged, so no key string is rendered here. *)
-                       match Phys_tbl.find_opt s.st_memo_phys p with
-                       | Some r ->
-                           Phys_tbl.remove s.st_memo_phys p;
-                           r
-                       | None ->
-                           (* [p] is always the first task of the fill. *)
-                           fill s pool p;
-                           let r = Phys_tbl.find s.st_memo_phys p in
-                           Phys_tbl.remove s.st_memo_phys p;
-                           r)
-                   | None ->
-                       let key = Partial.key p in
-                       let r =
-                         match Hashtbl.find_opt s.st_memo key with
-                         | Some r -> r
-                         | None ->
-                             fill s pool p;
-                             Hashtbl.find s.st_memo key
-                       in
-                       Hashtbl.remove s.st_memo key;
-                       r
-                 in
-                 s.st_spec_hits <- s.st_spec_hits + 1;
-                 Verify.merge_stats
-                   ~into:s.st_domain_stats.(r.tr_worker)
-                   r.tr_stats;
-                 s.st_expand_s <- s.st_expand_s +. r.tr_expand_s;
-                 s.st_verify_s <- s.st_verify_s +. r.tr_verify_s;
-                 List.iter
-                   (fun ((child : Partial.t), ok) ->
-                     if over_time () then raise Budget_exhausted;
-                     if ok then push_fresh s child)
-                   r.tr_children;
-                 (* committed: the record's memo ownership ends here *)
-                 Option.iter (fun ar -> arena_recycle ar r) s.st_arena)
+                 if ok then push_fresh s child)
+               verdicts
        done
      with
     | Budget_exhausted -> s.st_finished <- true
@@ -1018,9 +625,9 @@ let charge s seconds = if seconds > 0.0 then s.st_elapsed_s <- s.st_elapsed_s +.
    second look — only the *survivors* (the frontier, and the emitted
    candidates) can change verdict, and only from pass to fail.  Each
    survivor is re-checked with {!Verify.reverify}, which re-runs just the
-   sketch-reading stages (clauses / column / row / complete) and carries
-   the TSQ-independent verdicts (static, semantics) and the
-   type-annotation stage (a tightening keeps [types] equal).
+   sketch-reading stages (clauses / cardinality / column / row /
+   complete) and carries the TSQ-independent verdicts (static,
+   semantics).
 
    Equivalence with a from-root run under the new sketch: a tightening
    also keeps the guidance header ([hints_of_tsq]) identical, so
@@ -1033,22 +640,13 @@ let charge s seconds = if seconds > 0.0 then s.st_elapsed_s <- s.st_elapsed_s +.
 let rebase s ~tsq =
   let t0 = Clock.now () in
   let m0 = Clock.mono () in
-  (* Retarget every domain's environment and the guidance hints; the
-     speculation memo holds verdicts computed under the old sketch and
-     must be dropped (visited-key dedup is unaffected: any state whose
-     key is already recorded was either kept, or pruned — and a pruned
-     state stays pruned under a tightening). *)
-  Array.iteri (fun d env -> s.st_envs.(d) <- Verify.retarget env ~tsq) s.st_envs;
+  (* Retarget the environment and the guidance hints.  The visited set
+     [st_canon] is unaffected: any state whose canonical key is already
+     recorded was either kept, or pruned — and a pruned state stays
+     pruned under a tightening. *)
+  let env = Verify.retarget s.st_env ~tsq in
+  s.st_env <- env;
   s.st_hints <- hints_of_tsq tsq;
-  (* the dropped memo records go back to the arena, not the GC *)
-  Option.iter
-    (fun ar ->
-      Hashtbl.iter (fun _ r -> arena_recycle ar r) s.st_memo;
-      Phys_tbl.iter (fun _ r -> arena_recycle ar r) s.st_memo_phys)
-    s.st_arena;
-  Hashtbl.reset s.st_memo;
-  Phys_tbl.reset s.st_memo_phys;
-  let env = s.st_envs.(0) in
   (* Re-verify the frontier survivors.  Under NoPQ partial states were
      never verified against the sketch, so only complete states are
      re-checked there. *)
@@ -1095,72 +693,28 @@ let rebase s ~tsq =
   s.st_verify_s <- s.st_verify_s +. (Clock.mono () -. m0);
   s.st_elapsed_s <- s.st_elapsed_s +. (Clock.now () -. t0)
 
-(* Snapshot the run's observable outcome.  Pure with respect to results:
-   recomputing the per-domain relation-cache counters just overwrites them
-   with the caches' current cumulative numbers, so calling this mid-run
-   (Duoserve's [get_candidates]) and again at the end is safe. *)
+(* Snapshot the run's observable outcome; safe to call mid-run
+   (Duoserve's [get_candidates]) and again at the end. *)
 let outcome s =
-  let out_stats =
-    if s.st_domains = 1 then s.st_stats
-    else begin
-      (* Per-domain relation-cache numbers come from the caches
-         themselves; task records were zeroed (see [process]). *)
-      Array.iteri
-        (fun d ds ->
-          let hits, _misses, pushd =
-            Duoengine.Executor.cache_stats (Verify.relcache s.st_envs.(d))
-          in
-          ds.Verify.relcache_hits <- hits;
-          ds.Verify.pushdown_builds <- pushd)
-        s.st_domain_stats;
-      let total = Verify.new_stats () in
-      (* [st_stats] holds only push-time deprioritization warnings in
-         parallel mode (verification runs through task records). *)
-      Verify.merge_stats ~into:total s.st_stats;
-      Array.iter (fun ds -> Verify.merge_stats ~into:total ds) s.st_domain_stats;
-      total
-    end
-  in
   {
     out_candidates = List.rev s.st_candidates;
     out_pops = s.st_pops;
     out_pushed = Frontier.pushed s.st_frontier;
-    out_stats;
+    out_stats = Verify.stats s.st_env;
     out_elapsed_s = s.st_elapsed_s;
     out_expand_s = s.st_expand_s;
     out_verify_s = s.st_verify_s;
     out_exhausted = s.st_exhausted;
     out_dropped = Frontier.dropped s.st_frontier;
-    out_domains = s.st_domains;
-    out_domain_stats = s.st_domain_stats;
-    out_spec_rounds = s.st_spec_rounds;
-    out_spec_tasks = s.st_spec_tasks;
-    out_spec_hits = s.st_spec_hits;
-    out_spec_round_size =
-      (match s.st_controller with
-      | Some c -> Duopar.Controller.size c
-      | None -> if s.st_pool = None then 0 else s.st_domains * 4);
-    out_spec_ewma =
-      (match s.st_controller with
-      | Some c -> Duopar.Controller.ewma c
-      | None -> 1.0);
-    out_spec_grows =
-      (match s.st_controller with
-      | Some c -> Duopar.Controller.grows c
-      | None -> 0);
-    out_spec_shrinks =
-      (match s.st_controller with
-      | Some c -> Duopar.Controller.shrinks c
-      | None -> 0);
+    out_domains = 1;
+    out_spec_tasks = 0;
+    out_spec_hits = 0;
     out_rebases = s.st_rebases;
     out_rebase_kept = s.st_rebase_kept;
     out_rebase_dropped = s.st_rebase_dropped;
   }
 
-let run config ctx db ?index ?relcache ?pool ~tsq ~literals ?on_candidate () =
-  let s = init config ctx db ?index ?relcache ?pool ~tsq ~literals ?on_candidate () in
-  Fun.protect
-    ~finally:(fun () -> release s)
-    (fun () ->
-      ignore (step s);
-      outcome s)
+let run config ctx db ?index ?relcache ~tsq ~literals ?on_candidate () =
+  let s = init config ctx db ?index ?relcache ~tsq ~literals ?on_candidate () in
+  ignore (step s);
+  outcome s

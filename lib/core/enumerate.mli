@@ -30,55 +30,20 @@ type config = {
   max_frontier : int;
       (** frontier memory guard: compact to the best half beyond this many
           queued states *)
-  domains : int;
-      (** Duopar: worker domains for speculative parallel
-          expand-and-verify (clamped to [1, 64]).  Any value produces the
-          {e same} candidate list, emission order and per-stage prune
-          counts as [domains = 1]: the sequential best-first loop remains
-          the only committing loop; extra domains merely precompute
-          results for states it is about to pop (see DESIGN.md,
-          "Duopar"). *)
-  overcommit : bool;
-      (** When [false] (the default), the worker-domain count is further
-          clamped to [Domain.recommended_domain_count ()]: on a
-          single-core host speculation is pure overhead, so the run takes
-          the sequential path outright.  [true] keeps [domains] as
-          requested regardless of the hardware (determinism tests
-          exercise the speculative machinery this way). *)
-  spec_adaptive : bool;
-      (** Duopar v2 adaptive speculation: size each speculative round
-          from the measured commit rate ({!Duopar.Controller}'s AIMD law
-          over an EWMA of [spec_hits / spec_tasks], floor 1 — the
-          sequential degeneration — ceiling [8 * domains]).  [false]
-          pins the v1 fixed [4 * domains] round (A/B baseline).  The
-          round size never affects results, only how far ahead workers
-          precompute. *)
-  spec_schedule : (int -> int) option;
-      (** test hook: force round [i]'s size (clamped to the controller
-          bounds), overriding the AIMD law.  Candidates must be — and
-          are property-tested to be — bit-identical under any schedule. *)
-  arena : bool;
-      (** Duopar v2 task arenas: recycle the round buffers
-          ({!Frontier.pop_entries_into}), task descriptors and per-task
-          stats records ({!Verify.set_stats}) so a steady-state
-          speculative round allocates (near-)zero fresh heap.  [false]
-          keeps the v1 allocate-per-task profile (the bench's
-          [bytes_per_round] baseline). *)
 }
 
-(** Duoquest defaults: guided, pruning, 200k pops, 100 candidates, 60 s,
-    1 domain, no overcommit. *)
+(** Duoquest defaults: guided, pruning, 200k pops, 100 candidates,
+    60 s. *)
 val default_config : config
 
-(** The worker-domain count a run with this config will actually use on
-    this machine ([domains] clamped to [1, 64] and, without [overcommit],
-    to the available cores).  Callers that share one {!Duopar.Pool.t}
-    across runs size it with this. *)
+(** Always 1: a run is one sequential loop.  Exists only for the
+    benchmark's [duopar.*] layer and host line. *)
 val effective_domains : config -> int
 
 (** Reads [DUOQUEST_DOMAINS]; 1 when unset, unparsable, or < 1; capped
-    at 64.  The CLI, bench and simulation paths use this so parallelism
-    stays an opt-in deployment knob. *)
+    at 64.  Sizes the {!Duopar.Pool.t} that shards {e independent} tasks
+    across domains (the [duoquest_bench] harness); a single run never
+    uses more than one domain. *)
 val domains_from_env : unit -> int
 
 type candidate = {
@@ -103,26 +68,12 @@ type outcome = {
   out_dropped : int;
       (** states discarded by frontier compaction; when positive, an empty
           frontier does not mean exhaustion *)
-  out_domains : int;  (** worker domains actually used (clamped) *)
-  out_domain_stats : Verify.stats array;
-      (** committed verification work per domain, indexed by worker id;
-          [out_stats] is their merge (plus push-time lint warnings).
-          With [domains = 1] this is [[| out_stats |]]. *)
-  out_spec_rounds : int;
-      (** Duopar pool rounds run (0 when [domains = 1]) *)
+  out_domains : int;
+      (** always 1; exists only for the benchmark's [duopar.*] layer *)
   out_spec_tasks : int;
-      (** speculative expand-and-verify tasks launched across all rounds *)
+      (** always 0; exists only for the benchmark's [duopar.*] layer *)
   out_spec_hits : int;
-      (** speculative results committed by a pop; [out_spec_hits /
-          out_spec_tasks] is the speculation commit rate *)
-  out_spec_round_size : int;
-      (** the controller's current round size (the fixed [4 * domains]
-          with [spec_adaptive = false]; 0 when sequential) *)
-  out_spec_ewma : float;
-      (** the controller's commit-rate EWMA ([1.0] before any sample or
-          without a controller) *)
-  out_spec_grows : int;  (** controller additive-increase decisions *)
-  out_spec_shrinks : int;  (** controller multiplicative-decrease decisions *)
+      (** always 0; exists only for the benchmark's [duopar.*] layer *)
   out_rebases : int;  (** warm restarts taken via {!rebase} *)
   out_rebase_kept : int;
       (** frontier states and candidates that survived re-verification
@@ -155,17 +106,15 @@ val expand :
 
 (** {2 Resumable enumeration}
 
-    A {!state} is a paused run: the frontier, dedup table, join-path
-    memos, per-domain verification environments and all accounting.
-    {!init} builds it, {!step} advances it by a bounded number of
-    frontier pops, {!outcome} snapshots the observable results at any
-    point, and {!release} frees the worker pool.  {!run} is exactly
-    [init] + one unbounded [step] + [outcome] + [release], so a run
-    paused after any pop and resumed later commits the same pops in the
-    same order — candidates, prune counts and accounting are
-    bit-identical to the uninterrupted run (property-tested under
-    [@fuzz]).  Duoserve time-slices many concurrent sessions over this
-    interface. *)
+    A {!state} is a paused run: the frontier, visited set, verification
+    environment and all accounting.  {!init} builds it, {!step} advances
+    it by a bounded number of frontier pops, {!outcome} snapshots the
+    observable results at any point, and {!release} ends it.  {!run} is
+    exactly [init] + one unbounded [step] + [outcome], so a run paused
+    after any pop and resumed later commits the same pops in the same
+    order — candidates, prune counts and accounting are bit-identical
+    to the uninterrupted run (property-tested under [@fuzz]).  Duoserve
+    time-slices many concurrent sessions over this interface. *)
 
 type state
 
@@ -178,18 +127,13 @@ type status =
     [on_candidate] fires at each emission (the paper's streaming UI).
     [index] and [relcache] thread a session's inverted index and shared
     relation cache into the verification environment (see
-    {!Verify.make_env}).  [pool] supplies a caller-owned worker pool
-    shared across runs (one per server or bench process); it fixes the
-    domain count and is {e not} shut down by {!release}.  Without it a
-    pool is created when {!effective_domains} exceeds 1 and owned by the
-    state. *)
+    {!Verify.make_env}). *)
 val init :
   config ->
   Duoguide.Model.ctx ->
   Duodb.Database.t ->
   ?index:Duodb.Index.t ->
   ?relcache:Duoengine.Executor.relation_cache ->
-  ?pool:Duopar.Pool.t ->
   tsq:Tsq.t option ->
   literals:Duodb.Value.t list ->
   ?on_candidate:(candidate -> unit) ->
@@ -210,9 +154,9 @@ val finished : state -> bool
     whatever the last call returns once {!finished} holds. *)
 val outcome : state -> outcome
 
-(** Shut down the state's worker pool if it owns one (no-op for a pool
-    passed into {!init}, and with [domains = 1]).  Idempotent.  A
-    released state must not be stepped again. *)
+(** End the run.  A run holds no domains or descriptors, so this frees
+    nothing; callers still pair it with {!init} so a session's lifetime
+    is explicit.  A released state must not be stepped again. *)
 val release : state -> unit
 
 (** {2 Incremental re-synthesis}
@@ -243,14 +187,13 @@ val rebase : state -> tsq:Tsq.t -> unit
 val charge : state -> float -> unit
 
 (** Run the enumeration to completion: [init] + one unbounded [step] +
-    [outcome] + [release].  Arguments as {!init}. *)
+    [outcome].  Arguments as {!init}. *)
 val run :
   config ->
   Duoguide.Model.ctx ->
   Duodb.Database.t ->
   ?index:Duodb.Index.t ->
   ?relcache:Duoengine.Executor.relation_cache ->
-  ?pool:Duopar.Pool.t ->
   tsq:Tsq.t option ->
   literals:Duodb.Value.t list ->
   ?on_candidate:(candidate -> unit) ->

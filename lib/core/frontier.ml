@@ -100,27 +100,3 @@ let pop_entries t k =
 let pop_k t k = List.map fst (pop_entries t k)
 
 let restore t entries = List.iter (push_entry t) entries
-
-(* Arena variants: same semantics as [pop_entries]/[restore], but the
-   batch lives in a caller-owned buffer so a pop-and-restore round
-   allocates nothing (the entry tuples themselves were allocated at push
-   time and are merely moved). *)
-let pop_entries_into t buf k =
-  let k = min k (Array.length buf) in
-  let n = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !n < k do
-    match pop_entry t with
-    | None -> continue_ := false
-    | Some e ->
-        buf.(!n) <- e;
-        incr n
-  done;
-  !n
-
-let restore_array t buf n =
-  for i = 0 to n - 1 do
-    push_entry t buf.(i);
-    (* drop the arena's alias so it does not pin the state between rounds *)
-    buf.(i) <- t.dummy
-  done

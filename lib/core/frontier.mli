@@ -32,9 +32,9 @@ val pop_k : t -> int -> Partial.t list
 
 (** Like {!pop_k} but keeps each state's insertion sequence number, so a
     batch that was only {e inspected} can be put back verbatim with
-    {!restore}.  Used by the Duopar speculative rounds: the enumerator
-    batch-pops the top-K, processes them on worker domains, and restores
-    the ones it has not yet committed. *)
+    {!restore}.  Used by {!Enumerate.rebase}: it drains the frontier,
+    re-verifies every state under the tightened sketch and restores the
+    survivors in their original order. *)
 val pop_entries : t -> int -> (Partial.t * int) list
 
 (** Re-insert entries from {!pop_entries} with their original sequence
@@ -46,14 +46,3 @@ val restore : t -> (Partial.t * int) list -> unit
 
 (** Total states ever pushed (the sequence counter). *)
 val pushed : t -> int
-
-(** [pop_entries_into t buf k] is {!pop_entries} into a caller-owned
-    buffer: pops up to [min k (Array.length buf)] entries into
-    [buf.(0 .. n-1)] (priority order) and returns [n].  Allocates
-    nothing — this is the Duopar v2 task-arena entry point. *)
-val pop_entries_into : t -> (Partial.t * int) array -> int -> int
-
-(** [restore_array t buf n] is {!restore} for [buf.(0 .. n-1)], clearing
-    each slot after re-insertion so the arena does not retain states
-    between rounds. *)
-val restore_array : t -> (Partial.t * int) array -> int -> unit

@@ -91,7 +91,8 @@ val to_string : t -> string
 
 (** Canonical identity of a state's decided content (phase, decisions and
     join path; not confidence).  States produced by different join-fork
-    orders can coincide; the enumerator dedupes on this key. *)
+    orders can coincide.  The reference identity for the soundness
+    checker; the enumerator dedupes on the coarser {!canonical_key}. *)
 val key : t -> string
 
 (** Like {!key}, but with WHERE/HAVING conjuncts put into Duosem normal
@@ -100,8 +101,9 @@ val key : t -> string
     equivalent predicate spellings collide.  The used literal multiset
     and the verbatim join path are part of the key, keeping the
     complete-stage literal check and row-order-sensitive sketch
-    satisfaction observationally equal across collapsed states.  The
-    enumerator uses it as a second visited-set layer ([dedup_semantic]). *)
+    satisfaction observationally equal across collapsed states.  Equal
+    {!key}s give equal canonical keys (property-tested), so the
+    enumerator's visited set uses this key alone ([dedup_semantic]). *)
 val canonical_key : t -> string
 
 (** Confidence-then-join-length ordering for the best-first frontier:

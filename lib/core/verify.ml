@@ -11,31 +11,28 @@ type stage =
   | S_clauses
   | S_cardinality
   | S_semantics
-  | S_types
   | S_column
   | S_row
   | S_complete
 
 let all_stages =
-  [ S_static; S_clauses; S_cardinality; S_semantics; S_types; S_column;
-    S_row; S_complete ]
+  [ S_static; S_clauses; S_cardinality; S_semantics; S_column; S_row;
+    S_complete ]
 
 let stage_index = function
   | S_static -> 0
   | S_clauses -> 1
   | S_cardinality -> 2
   | S_semantics -> 3
-  | S_types -> 4
-  | S_column -> 5
-  | S_row -> 6
-  | S_complete -> 7
+  | S_column -> 4
+  | S_row -> 5
+  | S_complete -> 6
 
 let stage_name = function
   | S_static -> "static"
   | S_clauses -> "clauses"
   | S_cardinality -> "cardinality"
   | S_semantics -> "semantics"
-  | S_types -> "types"
   | S_column -> "column"
   | S_row -> "row"
   | S_complete -> "complete"
@@ -52,7 +49,6 @@ type stats = {
   mutable pruned_by_clauses : int;
   mutable pruned_by_cardinality : int;
   mutable pruned_by_semantics : int;
-  mutable pruned_by_types : int;
   mutable pruned_by_column : int;
   mutable pruned_by_row : int;
   mutable pruned_by_complete : int;
@@ -67,51 +63,21 @@ let new_stats () =
   { column_probes = 0; index_probes = 0; row_probes = 0; full_executions = 0;
     relcache_hits = 0; pushdown_builds = 0; pruned = 0;
     pruned_by_static = 0; pruned_by_clauses = 0; pruned_by_cardinality = 0;
-    pruned_by_semantics = 0;
-    pruned_by_types = 0; pruned_by_column = 0; pruned_by_row = 0;
+    pruned_by_semantics = 0; pruned_by_column = 0; pruned_by_row = 0;
     pruned_by_complete = 0; dedup_semantic = 0; static_warnings = 0;
     batch_rounds = 0; batched_probes = 0;
     stage_seconds = Array.make (List.length all_stages) 0.0 }
-
-(* Zero a stats record in place so Duopar task arenas can recycle one
-   per task slot instead of allocating a fresh record every round. *)
-let reset_stats s =
-  s.column_probes <- 0;
-  s.index_probes <- 0;
-  s.row_probes <- 0;
-  s.full_executions <- 0;
-  s.relcache_hits <- 0;
-  s.pushdown_builds <- 0;
-  s.pruned <- 0;
-  s.pruned_by_static <- 0;
-  s.pruned_by_clauses <- 0;
-  s.pruned_by_cardinality <- 0;
-  s.pruned_by_semantics <- 0;
-  s.pruned_by_types <- 0;
-  s.pruned_by_column <- 0;
-  s.pruned_by_row <- 0;
-  s.pruned_by_complete <- 0;
-  s.dedup_semantic <- 0;
-  s.static_warnings <- 0;
-  s.batch_rounds <- 0;
-  s.batched_probes <- 0;
-  Array.fill s.stage_seconds 0 (Array.length s.stage_seconds) 0.0
 
 let pruned_by s = function
   | S_static -> s.pruned_by_static
   | S_clauses -> s.pruned_by_clauses
   | S_cardinality -> s.pruned_by_cardinality
   | S_semantics -> s.pruned_by_semantics
-  | S_types -> s.pruned_by_types
   | S_column -> s.pruned_by_column
   | S_row -> s.pruned_by_row
   | S_complete -> s.pruned_by_complete
 
-(* All counters are plain adds; [stage_seconds] sums elementwise.  The
-   relation-cache mirrors ([relcache_hits], [pushdown_builds]) are also
-   summed, so a caller merging several per-domain stats records must
-   make sure each record carries only its own cache's numbers (see
-   [sync_relcache], which {e sets} cumulative values). *)
+(* All counters are plain adds; [stage_seconds] sums elementwise. *)
 let merge_stats ~into s =
   into.column_probes <- into.column_probes + s.column_probes;
   into.index_probes <- into.index_probes + s.index_probes;
@@ -125,7 +91,6 @@ let merge_stats ~into s =
   into.pruned_by_cardinality <-
     into.pruned_by_cardinality + s.pruned_by_cardinality;
   into.pruned_by_semantics <- into.pruned_by_semantics + s.pruned_by_semantics;
-  into.pruned_by_types <- into.pruned_by_types + s.pruned_by_types;
   into.pruned_by_column <- into.pruned_by_column + s.pruned_by_column;
   into.pruned_by_row <- into.pruned_by_row + s.pruned_by_row;
   into.pruned_by_complete <- into.pruned_by_complete + s.pruned_by_complete;
@@ -137,10 +102,10 @@ let merge_stats ~into s =
     (fun i v -> into.stage_seconds.(i) <- into.stage_seconds.(i) +. v)
     s.stage_seconds
 
-(* Process-wide cascade invocation counter.  The per-run stats records
-   above are all domain-confined; this is the one counter that must be
-   global (it spans every domain and every concurrent run), so it is an
-   [Atomic] rather than a mutable field. *)
+(* Process-wide cascade invocation counter.  Per-run stats records are
+   confined to their run; this one counter spans every run on every
+   domain (Duobench shards runs over a pool), so it is an [Atomic]
+   rather than a mutable field. *)
 let verify_calls : int Atomic.t = Atomic.make 0
 
 let total_verifies () = Atomic.get verify_calls
@@ -158,13 +123,9 @@ type env = {
   e_static : bool;
   (* schema compiled to hash lookups for the stage-0 rules *)
   e_lint : Duolint.Analyze.prepared;
-  (* immutable schema key facts for the Duosem cardinality stage; safe
-     to share across forked domains *)
+  (* immutable schema key facts for the Duosem cardinality stage *)
   e_sem : Duolint.Duosem.prepared;
-  (* mutable so Duopar task arenas can retarget one environment at a
-     per-slot stats record ([set_stats]) instead of copying the whole
-     env per task ([with_stats], kept for the legacy arena-off path) *)
-  mutable e_stats : stats;
+  e_stats : stats;
   (* Master inverted index for text-literal column probes; forced on first
      use when no session index is supplied.  The database is append-only
      during synthesis, so the snapshot stays valid. *)
@@ -203,37 +164,6 @@ let make_env ?stats ?(semantics = true) ?(static = true) ?index ?relcache ~db
   }
 
 let stats env = env.e_stats
-let relcache env = env.e_relcache
-
-(* Per-domain environment for the Duopar speculative rounds: shares the
-   immutable inputs (database, TSQ, literals, the *forced* inverted
-   index) and gets private copies of everything mutable — probe caches,
-   relation cache, stats, and the Duolint prepared tables (whose
-   one-slot memos are written on every check).  Forcing the index here
-   runs on the caller's domain, so worker domains never race the lazy
-   thunk. *)
-let fork_env env =
-  {
-    env with
-    e_lint = Duolint.Analyze.prepare (Duodb.Database.schema env.e_db);
-    e_stats = new_stats ();
-    e_index = Lazy.from_val (Lazy.force env.e_index);
-    e_cache = Hashtbl.create 256;
-    e_row_cache = Hashtbl.create 256;
-    e_relcache = Duoengine.Executor.create_cache ();
-    e_range_cache = Hashtbl.create 64;
-  }
-
-(* Same environment (caches included), different stats sink — gives each
-   speculative task a private stats record that is merged into the run's
-   totals only if the task's state is actually popped. *)
-let with_stats env stats = { env with e_stats = stats }
-
-(* In-place variant of [with_stats]: point the environment's sink at
-   [stats] without copying the record.  Only safe within a single
-   domain — Duopar workers each own a forked env, so retargeting between
-   tasks never races. *)
-let set_stats env stats = env.e_stats <- stats
 
 (* Mirror the shared relation cache's counters into the stats record after
    each executor call, so outcomes report pushdown and reuse activity. *)
@@ -514,7 +444,11 @@ let verify_semantics env (t : Partial.t) =
              | _ -> true)
            decided_projs)
 
-(* --- stage 3: projection types vs annotations (Example 3.4) --- *)
+(* --- projection types vs annotations (Example 3.4) ---
+   Not a cascade stage: the enumerator's header hints never propose a
+   child that fails this check (Duocheck "header hints"), and
+   [Tsq.satisfies] checks output types at the complete stage, so as a
+   stage it would prune nothing. *)
 
 let proj_output_type schema (s : Partial.proj_slot) =
   match s.Partial.pj_target, s.Partial.pj_agg with
@@ -828,7 +762,6 @@ let bump_pruned s = function
   | S_clauses -> s.pruned_by_clauses <- s.pruned_by_clauses + 1
   | S_cardinality -> s.pruned_by_cardinality <- s.pruned_by_cardinality + 1
   | S_semantics -> s.pruned_by_semantics <- s.pruned_by_semantics + 1
-  | S_types -> s.pruned_by_types <- s.pruned_by_types + 1
   | S_column -> s.pruned_by_column <- s.pruned_by_column + 1
   | S_row -> s.pruned_by_row <- s.pruned_by_row + 1
   | S_complete -> s.pruned_by_complete <- s.pruned_by_complete + 1
@@ -855,7 +788,6 @@ let verify env (t : Partial.t) =
     && stage S_clauses verify_clauses
     && stage S_cardinality verify_cardinality
     && stage S_semantics verify_semantics
-    && stage S_types verify_column_types
     && stage S_column verify_by_column
     && stage S_row verify_by_row
     &&
@@ -888,8 +820,7 @@ let retarget env ~tsq =
 (* Re-verification of a state that already survived the full cascade
    under the pre-refinement sketch.  Under a [Tsq.Tightening] edit the
    carried verdicts stay valid without re-running:
-   - [S_static] and [S_semantics] never read the sketch;
-   - [S_types] reads only [tsq.types], which a tightening keeps equal.
+   - [S_static] and [S_semantics] never read the sketch.
    What can flip is anything reading [sorted], [tuples], [negatives] or
    the support threshold: [S_clauses], [S_cardinality] (the required
    tuple count only grows under a tightening), [S_column], [S_row], and
@@ -977,7 +908,6 @@ let verify_batch env (children : Partial.t list) =
       (S_clauses, verify_clauses);
       (S_cardinality, verify_cardinality);
       (S_semantics, verify_semantics);
-      (S_types, verify_column_types);
       (S_column, verify_by_column) ]
   in
   Array.iteri

@@ -12,8 +12,6 @@
       the sketch's required tuple count (schema only);
     + [VerifySemantics] — the Table 4 rules on decided parts (no database
       access);
-    + [VerifyColumnTypes] — projection types vs the sketch's type
-      annotations (schema only);
     + [VerifyByColumn] — column-wise existence probes, one per decided
       projection and example cell (cheap single-table queries, cached);
     + [VerifyByRow] — row-wise probes requiring example cells to co-occur
@@ -25,7 +23,12 @@
 
     All stages are {e monotone}: a stage that fails on a partial query also
     fails on every completion of it, so pruning never discards a prefix of
-    a satisfying query (property-tested in the suite). *)
+    a satisfying query (property-tested in the suite).
+
+    The paper's [VerifyColumnTypes] is not a stage here: the enumerator's
+    header hints never propose a child that fails
+    {!verify_column_types} (property-tested), and the complete-query
+    check reads output types again. *)
 
 (** The cascade's stages, cheapest first.  [stats.stage_seconds] is
     indexed by {!stage_index}; {!all_stages} fixes the report order. *)
@@ -34,7 +37,6 @@ type stage =
   | S_clauses
   | S_cardinality
   | S_semantics
-  | S_types
   | S_column
   | S_row
   | S_complete
@@ -59,13 +61,15 @@ type stats = {
       (** states whose Duosem row-count upper bound is below the
           sketch's required tuple count *)
   mutable pruned_by_semantics : int;
-  mutable pruned_by_types : int;
   mutable pruned_by_column : int;
   mutable pruned_by_row : int;
   mutable pruned_by_complete : int;
   mutable dedup_semantic : int;
       (** enumerator pushes/emissions suppressed because a
-          Duosem-canonically-equal state or candidate was already seen *)
+          Duosem-canonically-equal state or candidate was already seen.
+          The enumerator keeps one visited set keyed by
+          [Partial.canonical_key], so this counts exact repeats of a
+          state and its semantic twins together. *)
   mutable static_warnings : int;
       (** Duolint warnings used to deprioritize frontier pushes *)
   mutable batch_rounds : int;
@@ -78,23 +82,15 @@ type stats = {
 
 val new_stats : unit -> stats
 
-(** Zero every counter of [s] in place (including [stage_seconds]).
-    Lets the Duopar task arenas recycle one stats record per task slot
-    across rounds instead of allocating fresh records. *)
-val reset_stats : stats -> unit
-
 (** Per-stage prune counter, by the same enum that indexes
     [stage_seconds]. *)
 val pruned_by : stats -> stage -> int
 
 (** [merge_stats ~into s] adds every counter of [s] into [into]
-    (elementwise for [stage_seconds]).  The Duopar loop runs each
-    speculative verification task against a private stats record and
-    merges it into the run's totals only when the task's state is
-    committed, so parallel prune counts match the sequential run
-    exactly.  Note [relcache_hits]/[pushdown_builds] are summed too —
-    callers must ensure each merged record carries only its own
-    relation cache's numbers. *)
+    (elementwise for [stage_seconds]), e.g. to total several runs'
+    outcomes.  [relcache_hits]/[pushdown_builds] mirror a relation
+    cache's cumulative counters, so summing them over runs that shared
+    one cache over-counts. *)
 val merge_stats : into:stats -> stats -> unit
 
 (** Process-wide count of cascade invocations ({!verify} +
@@ -127,29 +123,6 @@ val make_env :
 
 val stats : env -> stats
 
-(** The environment's relation cache (per-domain in parallel runs), for
-    aggregating {!Duoengine.Executor.cache_stats} across domains. *)
-val relcache : env -> Duoengine.Executor.relation_cache
-
-(** [fork_env env] builds a per-domain clone for Duopar workers: the
-    database, TSQ, literals and the (forced) inverted index are shared —
-    all immutable during synthesis — while every mutable part (probe
-    caches, relation cache, stats, Duolint prepared tables with their
-    one-slot memos) is private to the clone.  Caches only memoize pure
-    probe results, so which domain answers a probe can never change a
-    verdict. *)
-val fork_env : env -> env
-
-(** [with_stats env s] is [env] with [s] as its stats sink; caches are
-    shared with [env].  Used to give each speculative task a private
-    record that is merged (or discarded) at commit time. *)
-val with_stats : env -> stats -> env
-
-(** [set_stats env s] retargets [env]'s stats sink at [s] in place — the
-    zero-allocation counterpart of {!with_stats}.  Only safe from the
-    domain that owns [env]; Duopar workers each own a {!fork_env} clone,
-    so retargeting between arena tasks never races. *)
-val set_stats : env -> stats -> unit
 
 (** [verify env pq] is Algorithm 3's [Verify]: true when the partial query
     survives every applicable stage. *)
@@ -198,6 +171,10 @@ val verify_clauses : env -> Partial.t -> bool
 val verify_cardinality : env -> Partial.t -> bool
 
 val verify_semantics : env -> Partial.t -> bool
+
+(** Projection count and the decided slots' types vs the sketch's type
+    annotations (schema only).  Not part of the cascade (see above); the
+    oracle for the header-hints property. *)
 val verify_column_types : env -> Partial.t -> bool
 val verify_by_column : env -> Partial.t -> bool
 
@@ -221,8 +198,8 @@ val retarget : env -> tsq:Tsq.t -> env
     (the required tuple count only grows), [S_column], [S_row], and the
     full complete-query check — on a state that already survived the
     full cascade under the pre-refinement sketch.
-    [S_static]/[S_semantics] never read the sketch and [S_types] reads
-    only the (unchanged) type annotations, so their verdicts carry.
+    [S_static]/[S_semantics] never read the sketch, so their verdicts
+    carry.
     Counts as a cascade invocation in {!total_verifies}. *)
 val reverify : env -> Partial.t -> bool
 

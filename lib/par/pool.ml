@@ -2,8 +2,8 @@
    indices from [r_next] (fetch-and-add work stealing) and count
    completions in [r_done].
 
-   The pool owns ONE round record, reused for every round (Duopar v2's
-   zero-allocation contract: a steady-state round allocates nothing).
+   The pool owns ONE round record, reused for every round, so a
+   steady-state round allocates nothing.
    Reuse is safe because the record's plain fields ([r_n], [r_fn]) are
    only written under the pool mutex while [active_workers] is zero —
    every worker brackets its time inside [run_tasks] with a
@@ -105,10 +105,7 @@ let create ~domains =
 let run t n f =
   if n > 0 then begin
     if t.n_domains = 1 || n = 1 then
-      (* no pool traffic: the degenerate cases run inline — this is the
-         path a floor-1 speculative round takes, so the adaptive
-         controller's sequential degeneration really is the sequential
-         loop *)
+      (* no pool traffic: the degenerate cases run inline *)
       for i = 0 to n - 1 do
         f ~worker:0 i
       done

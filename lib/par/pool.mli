@@ -1,10 +1,10 @@
 (** Duopar: a fixed pool of worker domains for batch-parallel rounds.
 
     Built on the OCaml 5 stdlib only ([Domain], [Mutex], [Condition],
-    [Atomic]) — no external dependencies.  The pool is designed for the
-    enumerator's speculative verification rounds: short bursts of
-    independent pure tasks separated by sequential merge work on the
-    caller's domain.
+    [Atomic]) — no external dependencies.  The pool shards independent
+    tasks — benchmark split generation and whole synthesis runs
+    (Duobench, Spider-gen) — in rounds separated by sequential merge work
+    on the caller's domain.  A single synthesis run never uses it.
 
     Concurrency contract:
     - {!run} is a {e barrier}: it returns only after every task of the

@@ -26,10 +26,16 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
+(* A non-integral number takes 15 significant digits when they read back
+   to the same float, else 17 (which always do), so printing never
+   changes a value. *)
 let add_num buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%d" (int_of_float f))
-  else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+  else
+    let short = Printf.sprintf "%.15g" f in
+    Buffer.add_string buf
+      (if float_of_string short = f then short else Printf.sprintf "%.17g" f)
 
 let rec add buf v =
   match v with

@@ -16,7 +16,8 @@ type t =
   | Obj of (string * t) list
 
 (** Compact single-line rendering; integral numbers print without a
-    decimal point. *)
+    decimal point, and every other number prints with enough digits
+    (15, else 17) to parse back to the same float. *)
 val to_string : t -> string
 
 (** Parse a complete document; trailing garbage (other than whitespace)

@@ -22,8 +22,6 @@ type t = {
   config : config;
   dbs : (string * Duoquest.session) list;
   caches : (string * Duoengine.Executor.relation_cache) list;
-  pool : Duopar.Pool.t option;
-  owns_pool : bool;
   sessions : (int, Session.t) Hashtbl.t;
   mutable next_sid : int;
   mutable rr_last : int;  (** sid stepped most recently (round-robin cursor) *)
@@ -37,22 +35,12 @@ type t = {
   mutable slices : int;
 }
 
-let create ?pool config dbs =
-  let pool, owns_pool =
-    match pool with
-    | Some p -> (Some p, false)
-    | None ->
-        let domains = Enumerate.effective_domains config.session_config in
-        if domains > 1 then (Some (Duopar.Pool.create ~domains), true)
-        else (None, false)
-  in
+let create config dbs =
   {
     config;
     dbs = List.map (fun (name, db) -> (name, Duoquest.create_session db)) dbs;
     caches =
       List.map (fun (name, _) -> (name, Duoengine.Executor.create_cache ())) dbs;
-    pool;
-    owns_pool;
     sessions = Hashtbl.create 64;
     next_sid = 1;
     rr_last = 0;
@@ -161,7 +149,7 @@ let handle_open t (p : Protocol.open_params) =
         let s =
           Session.create ~sid ~db_name:p.Protocol.op_db ~config
             ?relcache:(List.assoc_opt p.Protocol.op_db t.caches)
-            ?pool:t.pool ~nlq:p.Protocol.op_nlq ?tsq:p.Protocol.op_tsq
+            ~nlq:p.Protocol.op_nlq ?tsq:p.Protocol.op_tsq
             ?literals:p.Protocol.op_literals duo
         in
         Hashtbl.replace t.sessions sid s;
@@ -183,38 +171,6 @@ let handle_candidates s k =
       ("exhausted", Json.Bool o.Enumerate.out_exhausted);
     ]
 
-(* Duopar visibility for operators: pool shape plus the adaptive
-   controller's live state aggregated over the open sessions —
-   [round_size] is the widest current round (sessions inherit their
-   controller across slices, so this is the steady-state answer to "how
-   far ahead is the server speculating"), and [commit_rate] is the
-   cumulative hits/tasks ratio (1.0 when nothing was speculated: the
-   degenerate sequential path wastes nothing). *)
-let duopar_fields t =
-  let tasks = ref 0 and hits = ref 0 and round_size = ref 0 in
-  Hashtbl.iter
-    (fun _ s ->
-      let o = Session.outcome s in
-      tasks := !tasks + o.Enumerate.out_spec_tasks;
-      hits := !hits + o.Enumerate.out_spec_hits;
-      round_size := max !round_size o.Enumerate.out_spec_round_size)
-    t.sessions;
-  let commit_rate =
-    if !tasks = 0 then 1.0 else float_of_int !hits /. float_of_int !tasks
-  in
-  [
-    ( "domains_requested",
-      Json.Num (float_of_int t.config.session_config.Enumerate.domains) );
-    ( "domains",
-      Json.Num
-        (float_of_int
-           (match t.pool with Some p -> Duopar.Pool.domains p | None -> 1)) );
-    ("round_size", Json.Num (float_of_int !round_size));
-    ("commit_rate", Json.Num commit_rate);
-    ("spec_tasks", Json.Num (float_of_int !tasks));
-    ("spec_hits", Json.Num (float_of_int !hits));
-  ]
-
 let stats_fields t =
   [
     ("sessions", Json.Num (float_of_int (Hashtbl.length t.sessions)));
@@ -227,7 +183,6 @@ let stats_fields t =
     ("rebased", Json.Num (float_of_int t.rebased));
     ("slices", Json.Num (float_of_int t.slices));
     ("draining", Json.Bool t.is_draining);
-    ("duopar", Json.Obj (duopar_fields t));
   ]
 
 let handle_request t req =
@@ -301,11 +256,7 @@ let handle_line t line =
 
 let destroy t =
   Hashtbl.iter (fun _ s -> Session.close s) t.sessions;
-  Hashtbl.reset t.sessions;
-  if t.owns_pool then
-    match t.pool with
-    | Some p -> Duopar.Pool.shutdown p
-    | None -> ()
+  Hashtbl.reset t.sessions
 
 (* --- the event loop --------------------------------------------------- *)
 

@@ -3,11 +3,9 @@
 
     Architecture: a single-threaded event loop owns every session and
     time-slices the [Running] ones round-robin, advancing one
-    {!Session.step} of [slice_pops] frontier pops between socket polls.
-    Parallelism lives {e inside} a slice — the shared {!Duopar.Pool.t}
-    fans each step's speculative expand-and-verify out across worker
-    domains — so no two sessions ever mutate state concurrently and
-    cross-session interference is impossible by construction.  Resume
+    {!Session.step} of [slice_pops] frontier pops between socket polls,
+    so no two sessions ever mutate state concurrently and cross-session
+    interference is impossible by construction.  Resume
     determinism (see {!Duocore.Enumerate.step}) then guarantees each
     session computes exactly what a solo run would.
 
@@ -35,10 +33,8 @@ val default_config : config
 type t
 
 (** [create config dbs] builds a server over named databases (indexes and
-    relation caches are built here).  [pool] supplies a caller-owned
-    worker pool; without it one is created when the session config wants
-    more than one effective domain, and {!destroy} shuts it down. *)
-val create : ?pool:Duopar.Pool.t -> config -> (string * Duodb.Database.t) list -> t
+    relation caches are built here). *)
+val create : config -> (string * Duodb.Database.t) list -> t
 
 (** Process one protocol request line; the response line (no newline). *)
 val handle_line : t -> string -> string
@@ -55,8 +51,7 @@ val running_count : t -> int
 (** [draining] and every session has wound down — the loop may exit. *)
 val drained : t -> bool
 
-(** Close all sessions and shut down an owned pool.  The server must not
-    be used afterwards. *)
+(** Close all sessions.  The server must not be used afterwards. *)
 val destroy : t -> unit
 
 (** Run the event loop on a listening socket until a [shutdown] request

@@ -19,7 +19,6 @@ type t = {
   config : Enumerate.config;
   duo : Duoquest.session;
   relcache : Duoengine.Executor.relation_cache option;
-  pool : Duopar.Pool.t option;
   literals : Duodb.Value.t list option;
   mutable tsq : Duocore.Tsq.t option;
   mutable state : Enumerate.state option;
@@ -41,9 +40,9 @@ let rebased s = s.rebased
 
 let prepare s =
   Duoquest.prepare ~config:s.config ?tsq:s.tsq ?literals:s.literals
-    ?relcache:s.relcache ?pool:s.pool s.duo ~nlq:s.nlq ()
+    ?relcache:s.relcache s.duo ~nlq:s.nlq ()
 
-let create ~sid ~db_name ~config ?relcache ?pool ~nlq ?tsq ?literals duo =
+let create ~sid ~db_name ~config ?relcache ~nlq ?tsq ?literals duo =
   let s =
     {
       sid;
@@ -52,7 +51,6 @@ let create ~sid ~db_name ~config ?relcache ?pool ~nlq ?tsq ?literals duo =
       config;
       duo;
       relcache;
-      pool;
       literals;
       tsq;
       state = None;
@@ -98,14 +96,8 @@ let empty_outcome () =
     out_exhausted = false;
     out_dropped = 0;
     out_domains = 1;
-    out_domain_stats = [||];
-    out_spec_rounds = 0;
     out_spec_tasks = 0;
     out_spec_hits = 0;
-    out_spec_round_size = 0;
-    out_spec_ewma = 1.0;
-    out_spec_grows = 0;
-    out_spec_shrinks = 0;
     out_rebases = 0;
     out_rebase_kept = 0;
     out_rebase_dropped = 0;

@@ -98,8 +98,10 @@ let test_mas_golds_survive_cascade () =
     (!representable > 0)
 
 (* Duopar on the study golds: end-to-end synthesis of the MAS tasks with
-   their own synthesized TSQs must find the gold at the same rank, with
-   the same candidate list, at domains=1 and domains=4. *)
+   their own synthesized TSQs, sharded one task per domain over a
+   4-domain pool (as Duobench shards its splits), must find the gold at
+   the same rank, with the same candidate list, as the sequential pass.
+   The shards share the session's database and index. *)
 let test_mas_golds_parallel_identical () =
   let db = Duobench.Mas.database () in
   let session = Duocore.Duoquest.create_session db in
@@ -109,27 +111,32 @@ let test_mas_golds_parallel_identical () =
         List.mem t.Duobench.Mas.task_id [ "A1"; "B1"; "B4" ])
       Duobench.Mas.nli_study_tasks
   in
-  List.iter
-    (fun (task : Duobench.Mas.task) ->
+  let run (task : Duobench.Mas.task) =
+    let rng = Duobench.Rng.create 29 in
+    let tsq =
+      Duobench.Tsq_synth.synthesize rng db (Duobench.Mas.gold task)
+        ~detail:Duobench.Tsq_synth.Full
+    in
+    let config =
+      { Duocore.Enumerate.default_config with
+        Duocore.Enumerate.max_pops = 3_000;
+        max_candidates = 10;
+        time_budget_s = 20.0 }
+    in
+    Duocore.Duoquest.synthesize ~config ?tsq
+      ~literals:task.Duobench.Mas.task_literals session
+      ~nlq:task.Duobench.Mas.task_nlq ()
+  in
+  let tasks = Array.of_list tasks in
+  let seqs = Array.map run tasks in
+  let pars = Array.make (Array.length tasks) None in
+  Duopar.Pool.with_pool ~domains:4 (fun pool ->
+      Duopar.Pool.run pool (Array.length tasks) (fun ~worker:_ i ->
+          pars.(i) <- Some (run tasks.(i))));
+  Array.iteri
+    (fun i (task : Duobench.Mas.task) ->
       let gold = Duobench.Mas.gold task in
-      let rng = Duobench.Rng.create 29 in
-      let tsq =
-        Duobench.Tsq_synth.synthesize rng db gold
-          ~detail:Duobench.Tsq_synth.Full
-      in
-      let run domains =
-        let config =
-          { Duocore.Enumerate.default_config with
-            Duocore.Enumerate.max_pops = 3_000;
-            max_candidates = 10;
-            time_budget_s = 20.0;
-            domains }
-        in
-        Duocore.Duoquest.synthesize ~config ?tsq
-          ~literals:task.Duobench.Mas.task_literals session
-          ~nlq:task.Duobench.Mas.task_nlq ()
-      in
-      let seq = run 1 and par = run 4 in
+      let seq = seqs.(i) and par = Option.get pars.(i) in
       let qs (o : Duocore.Enumerate.outcome) =
         List.map
           (fun (c : Duocore.Enumerate.candidate) ->

@@ -188,21 +188,24 @@ let test_stats_attribution () =
   Alcotest.(check int) "every prune attributed to a stage" s.Duocore.Verify.pruned
     attributed
 
-(* --- Duopar: parallel enumeration is observably identical --- *)
+(* --- Duopar: runs sharded over a pool are observably identical --- *)
 
-(* [overcommit] forces the speculative path even on a single-core test
-   machine — these tests are about determinism of the machinery, not
-   about whether parallelism pays off here. *)
-let run_at ~domains ?tsq nlq =
-  let config =
-    { Enumerate.default_config with
-      Enumerate.max_pops = 4_000;
-      max_candidates = 30;
-      time_budget_s = 20.0;
-      domains;
-      overcommit = true }
-  in
+let run_config =
+  { Enumerate.default_config with
+    Enumerate.max_pops = 4_000;
+    max_candidates = 30;
+    time_budget_s = 20.0 }
+
+let run_seq ?(config = run_config) ?tsq nlq =
   Enumerate.run config (ctx nlq) db ~tsq ~literals:[] ()
+
+(* Duobench shards independent runs over a [Duopar.Pool]: four copies of
+   one run, one per domain, must each match the sequential run. *)
+let sharded run =
+  Duopar.Pool.with_pool ~domains:4 (fun pool ->
+      let out = Array.make 4 None in
+      Duopar.Pool.run pool 4 (fun ~worker:_ i -> out.(i) <- Some (run ()));
+      List.filter_map Fun.id (Array.to_list out))
 
 let candidate_sigs (o : Enumerate.outcome) =
   List.map
@@ -228,9 +231,9 @@ let check_identical seq par =
     Duocore.Verify.all_stages
 
 let test_parallel_identical_nli () =
-  check_identical
-    (run_at ~domains:1 "movie names and years")
-    (run_at ~domains:4 "movie names and years")
+  let seq = run_seq "movie names and years" in
+  List.iter (check_identical seq)
+    (sharded (fun () -> run_seq "movie names and years"))
 
 let test_parallel_identical_dual () =
   let tsq =
@@ -238,100 +241,39 @@ let test_parallel_identical_dual () =
       ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "Forrest Gump") ] ]
       ()
   in
-  let seq = run_at ~domains:1 ~tsq "movie names" in
-  let par = run_at ~domains:4 ~tsq "movie names" in
-  check_identical seq par;
+  let seq = run_seq ~tsq "movie names" in
   Alcotest.(check bool) "found something" true
     (seq.Enumerate.out_candidates <> []);
-  Alcotest.(check int) "domains recorded" 4 par.Enumerate.out_domains;
-  (* per-domain records add up to the merged totals *)
-  let committed =
-    Array.fold_left
-      (fun acc (ds : Duocore.Verify.stats) -> acc + ds.Duocore.Verify.pruned)
-      0 par.Enumerate.out_domain_stats
-  in
-  Alcotest.(check int) "domain prunes sum to total"
-    par.Enumerate.out_stats.Duocore.Verify.pruned committed
-
-(* Duopar v2: the adaptive controller, a pinned adversarial schedule and
-   the arena on/off switch are all pure performance knobs — every
-   configuration is observably identical to the sequential run, and the
-   outcome's controller counters reflect the regime that ran. *)
-let test_adaptive_regimes_identical () =
-  let run ?(adaptive = true) ?schedule ?(arena = true) domains =
-    let config =
-      { Enumerate.default_config with
-        Enumerate.max_pops = 4_000;
-        max_candidates = 30;
-        time_budget_s = 20.0;
-        domains;
-        overcommit = true;
-        spec_adaptive = adaptive;
-        spec_schedule = schedule;
-        arena }
-    in
-    Enumerate.run config (ctx "movie names and years") db ~tsq:None
-      ~literals:[] ()
-  in
-  let seq = run 1 in
-  let adaptive = run 4 in
-  check_identical seq adaptive;
-  Alcotest.(check bool) "controller sized some round" true
-    (adaptive.Enumerate.out_spec_round_size >= 1);
-  let fixed = run ~adaptive:false 4 in
-  check_identical seq fixed;
-  Alcotest.(check int) "fixed profile never adapts" 0
-    (fixed.Enumerate.out_spec_grows + fixed.Enumerate.out_spec_shrinks);
-  (* thrash the size between the floor and far past the ceiling *)
-  let adversarial = run ~schedule:(fun i -> (i * 13 mod 37) - 1) 4 in
-  check_identical seq adversarial;
-  let no_arena = run ~arena:false 4 in
-  check_identical seq no_arena;
-  (* floor-1 rounds degenerate to the sequential loop: every speculated
-     state is the one the committing loop pops next *)
-  let floor1 = run ~schedule:(fun _ -> 1) 4 in
-  check_identical seq floor1;
-  Alcotest.(check int) "floor-1 speculation all commits"
-    floor1.Enumerate.out_spec_tasks floor1.Enumerate.out_spec_hits
+  List.iter (check_identical seq) (sharded (fun () -> run_seq ~tsq "movie names"))
 
 let test_parallel_exhaustion_identical () =
-  (* the exhaustive-enumeration flag and drop accounting survive
-     speculation: restored states keep their identity *)
+  (* the exhaustive-enumeration flag survives running on another domain *)
   let tsq =
     Duocore.Tsq.make ~types:[ Duodb.Datatype.Text ]
       ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "No Such Value Anywhere") ] ]
       ()
   in
-  let run domains =
-    let config =
-      { Enumerate.default_config with
-        Enumerate.max_pops = 200_000;
-        time_budget_s = 20.0;
-        domains;
-        overcommit = true }
-    in
-    Enumerate.run config (ctx "names") db ~tsq:(Some tsq) ~literals:[] ()
+  let config =
+    { Enumerate.default_config with
+      Enumerate.max_pops = 200_000;
+      time_budget_s = 20.0 }
   in
-  let seq = run 1 and par = run 3 in
-  Alcotest.(check int) "no candidates" 0 (List.length par.Enumerate.out_candidates);
-  Alcotest.(check bool) "still exhausted" par.Enumerate.out_exhausted
-    seq.Enumerate.out_exhausted;
-  Alcotest.(check int) "same pops" seq.Enumerate.out_pops par.Enumerate.out_pops
+  let seq = run_seq ~config ~tsq "names" in
+  List.iter
+    (fun (par : Enumerate.outcome) ->
+      Alcotest.(check int) "no candidates" 0
+        (List.length par.Enumerate.out_candidates);
+      Alcotest.(check bool) "still exhausted" seq.Enumerate.out_exhausted
+        par.Enumerate.out_exhausted;
+      Alcotest.(check int) "same pops" seq.Enumerate.out_pops
+        par.Enumerate.out_pops)
+    (sharded (fun () -> run_seq ~config ~tsq "names"))
 
 (* --- resumable stepping: pause/resume is observably identical --------- *)
 
-let config_for ~domains =
-  { Enumerate.default_config with
-    Enumerate.max_pops = 4_000;
-    max_candidates = 30;
-    time_budget_s = 20.0;
-    domains;
-    overcommit = true }
-
 (* Drive a run as a sequence of [slice]-pop steps; returns the final
    outcome and how many step calls it took. *)
-let stepped ~slice ~domains ?tsq ?config nlq =
-  let config = match config with Some c -> c | None -> config_for ~domains in
+let stepped ~slice ?tsq ?(config = run_config) nlq =
   let s = Enumerate.init config (ctx nlq) db ~tsq ~literals:[] () in
   Fun.protect
     ~finally:(fun () -> Enumerate.release s)
@@ -358,10 +300,10 @@ let check_flags (seq : Enumerate.outcome) (st : Enumerate.outcome) =
     st.Enumerate.out_dropped
 
 let test_resume_identical_nli () =
-  let full = run_at ~domains:1 "movie names and years" in
+  let full = run_seq "movie names and years" in
   List.iter
     (fun slice ->
-      let st, steps = stepped ~slice ~domains:1 "movie names and years" in
+      let st, steps = stepped ~slice "movie names and years" in
       Alcotest.(check bool)
         (Printf.sprintf "slice %d really paused" slice)
         true
@@ -376,18 +318,10 @@ let test_resume_identical_dual () =
       ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "Forrest Gump") ] ]
       ()
   in
-  let full = run_at ~domains:1 ~tsq "movie names" in
+  let full = run_seq ~tsq "movie names" in
   Alcotest.(check bool) "found something" true
     (full.Enumerate.out_candidates <> []);
-  let st, _ = stepped ~slice:5 ~domains:1 ~tsq "movie names" in
-  check_identical full st;
-  check_flags full st
-
-let test_resume_identical_duopar () =
-  (* pausing between speculative rounds must not change what the
-     committing loop commits *)
-  let full = run_at ~domains:1 "movie names and years" in
-  let st, _ = stepped ~slice:3 ~domains:4 "movie names and years" in
+  let st, _ = stepped ~slice:5 ~tsq "movie names" in
   check_identical full st;
   check_flags full st
 
@@ -403,14 +337,14 @@ let test_resume_exhaustion_flags () =
       time_budget_s = 20.0 }
   in
   let full = Enumerate.run config (ctx "names") db ~tsq:(Some tsq) ~literals:[] () in
-  let st, _ = stepped ~slice:17 ~domains:1 ~tsq ~config "names" in
+  let st, _ = stepped ~slice:17 ~tsq ~config "names" in
   Alcotest.(check bool) "exhaustive run" true full.Enumerate.out_exhausted;
   check_identical full st;
   check_flags full st
 
 let test_resume_snapshot_prefix () =
   (* a mid-run snapshot's candidates are a prefix of the final list *)
-  let config = config_for ~domains:1 in
+  let config = run_config in
   let s =
     Enumerate.init config (ctx "movie names and years") db ~tsq:None
       ~literals:[] ()
@@ -442,8 +376,6 @@ let suite =
       test_resume_identical_nli;
     Alcotest.test_case "resume: stepped dual-spec run identical" `Quick
       test_resume_identical_dual;
-    Alcotest.test_case "resume: stepped duopar run identical" `Quick
-      test_resume_identical_duopar;
     Alcotest.test_case "resume: exhaustion flags survive pausing" `Quick
       test_resume_exhaustion_flags;
     Alcotest.test_case "resume: snapshots are prefixes" `Quick
@@ -452,8 +384,6 @@ let suite =
       test_parallel_identical_nli;
     Alcotest.test_case "duopar: dual-spec run identical" `Quick
       test_parallel_identical_dual;
-    Alcotest.test_case "duopar: adaptive regimes identical" `Quick
-      test_adaptive_regimes_identical;
     Alcotest.test_case "duopar: exhaustion identical" `Quick
       test_parallel_exhaustion_identical;
     Alcotest.test_case "confidence partition" `Quick test_confidence_partition;

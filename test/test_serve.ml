@@ -13,6 +13,9 @@ let test_json_roundtrip () =
       Json.Bool true;
       Json.Num 3.0;
       Json.Num (-0.25);
+      Json.Num 3.3333333333333335;
+      Json.Num 0.1;
+      Json.Num 1e-7;
       Json.Str "with \"quotes\", \\ and \n newline";
       Json.List [ Json.Num 1.0; Json.Str "x"; Json.Null ];
       Json.Obj
@@ -26,8 +29,11 @@ let test_json_roundtrip () =
     (fun v ->
       match Json.parse (Json.to_string v) with
       | Ok v' ->
-          Alcotest.(check string)
-            "print/parse round-trip" (Json.to_string v) (Json.to_string v')
+          (* compare values, not re-printed strings: a lossy printer
+             prints the truncated value the same way twice *)
+          if v' <> v then
+            Alcotest.failf "print/parse round-trip changed %s into %s"
+              (Json.to_string v) (Json.to_string v')
       | Error e -> Alcotest.failf "round-trip parse failed: %s" e)
     values
 
@@ -179,7 +185,7 @@ let test_golden_list_and_stats () =
   check_transcript "list_dbs and stats goldens"
     [
       "{\"ok\":true,\"dbs\":[\"movies\"]}";
-      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"cancelled\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"draining\":false,\"duopar\":{\"domains_requested\":1,\"domains\":1,\"round_size\":0,\"commit_rate\":1,\"spec_tasks\":0,\"spec_hits\":0}}";
+      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"cancelled\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"draining\":false}";
     ]
     (transcript server [ "{\"op\":\"list_dbs\"}"; "{\"op\":\"stats\"}" ]);
   Server.destroy server
