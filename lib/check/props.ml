@@ -257,17 +257,36 @@ let property1_prop ((sc : Gen.scenario), seed) =
   in
   walk Duocore.Partial.root 40
 
-(* Key coarsening: [Partial.canonical_key] is a function of
-   [Partial.key] — states with equal keys have equal canonical keys — so
-   the enumerator's one visited set, keyed by the canonical key, also
-   suppresses every exact repeat.  States come from seeded random walks
-   that record every child of each expansion, so sibling forks, join-path
-   revisits and repeats across walks all meet in one table. *)
-let key_coarsening_prop ((sc : Gen.scenario), seed) =
+(* Twenty seeded random expansion walks of 40 steps from the root.
+   [visit state children] sees each walked state with all the children
+   of its expansion ([] at a walk's end), so sibling forks, join-path
+   revisits and repeats across walks all meet. *)
+let walk_expansions ((sc : Gen.scenario), seed) visit =
   let st = Random.State.make [| seed |] in
   let ctx = ctx_of sc in
   let guided = seed land 1 = 0 in
   let hints = Duocore.Enumerate.hints_of_tsq sc.Gen.sc_tsq in
+  let rec walk state steps =
+    let children =
+      if steps > 0 then Duocore.Enumerate.expand ~guided hints ctx state else []
+    in
+    visit state children;
+    match children with
+    | [] -> ()
+    | _ :: _ ->
+        walk
+          (List.nth children (Random.State.int st (List.length children)))
+          (steps - 1)
+  in
+  for _ = 1 to 20 do
+    walk Duocore.Partial.root 40
+  done
+
+(* Key coarsening: [Partial.canonical_key] is a function of
+   [Partial.key] — states with equal keys have equal canonical keys — so
+   the enumerator's one visited set, keyed by the canonical key, also
+   suppresses every exact repeat. *)
+let key_coarsening_prop arg =
   let seen : (string, string) Hashtbl.t = Hashtbl.create 256 in
   let check (t : Duocore.Partial.t) =
     let k = Duocore.Partial.key t in
@@ -280,20 +299,56 @@ let key_coarsening_prop ((sc : Gen.scenario), seed) =
           "equal keys, different canonical keys:\nkey:   %s\ncanon: %s\ncanon: %s"
           k ck' ck
   in
-  let rec walk state steps =
-    check state;
-    if steps > 0 then
-      match Duocore.Enumerate.expand ~guided hints ctx state with
-      | [] -> ()
-      | children ->
-          List.iter check children;
-          walk
-            (List.nth children (Random.State.int st (List.length children)))
-            (steps - 1)
+  walk_expansions arg (fun state children ->
+      check state;
+      List.iter check children);
+  true
+
+(* Hash consistency: [Partial.canonical_hash] is a function of
+   [Partial.canonical_key] — states with equal canonical keys hash alike
+   — so filing the visited set by hash and comparing canonical keys only
+   on hash hits suppresses exactly the states the key alone would.  One
+   memo serves every state, siblings back to back as a run hashes them,
+   and each hash must also equal a fresh memo's, so no memo history can
+   move it.  Each walked state is joined by twins the walks seldom meet
+   on their own: its WHERE list reversed, its direction flipped, its
+   confidence and depth moved. *)
+let state_hash_prop arg =
+  let memo = Duocore.Partial.hash_memo () in
+  let seen : (string, int) Hashtbl.t = Hashtbl.create 256 in
+  let check (t : Duocore.Partial.t) =
+    let ck = Duocore.Partial.canonical_key t in
+    let h = Duocore.Partial.canonical_hash memo t in
+    let fresh = Duocore.Partial.canonical_hash (Duocore.Partial.hash_memo ()) t in
+    if h <> fresh then
+      QCheck.Test.fail_reportf "hash depends on the memo (%d vs %d) at %s" h
+        fresh ck;
+    match Hashtbl.find_opt seen ck with
+    | None -> Hashtbl.replace seen ck h
+    | Some h' when h' = h -> ()
+    | Some h' ->
+        QCheck.Test.fail_reportf
+          "equal canonical keys, different hashes (%d vs %d):\ncanon: %s" h' h
+          ck
   in
-  for _ = 1 to 20 do
-    walk Duocore.Partial.root 40
-  done;
+  let check_with_twins (t : Duocore.Partial.t) =
+    check t;
+    check
+      { t with
+        Duocore.Partial.where_preds = List.rev t.Duocore.Partial.where_preds };
+    check
+      { t with
+        Duocore.Partial.order_dir =
+          (match t.Duocore.Partial.order_dir with
+          | Duosql.Ast.Asc -> Duosql.Ast.Desc
+          | Duosql.Ast.Desc -> Duosql.Ast.Asc);
+        confidence = t.Duocore.Partial.confidence /. 2.0;
+        depth = t.Duocore.Partial.depth + 1 }
+  in
+  walk_expansions arg (fun state children ->
+      check_with_twins state;
+      List.iter check children;
+      List.iter check_with_twins children);
   true
 
 (* Header hints: expansion under a sketch's hints never proposes a child
@@ -880,6 +935,8 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(20 * mult)
       ~name:"key coarsening: equal Partial.key implies equal canonical_key"
       arb_seeded key_coarsening_prop;
+    QCheck.Test.make ~count:(20 * mult)
+      ~name:"state hash respects canonical key" arb_seeded state_hash_prop;
     QCheck.Test.make ~count:(20 * mult)
       ~name:"header hints: expanded children agree with the sketch's types"
       arb_seeded header_types_prop;

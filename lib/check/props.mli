@@ -16,6 +16,11 @@
     - {b key coarsening}: states with equal {!Duocore.Partial.key}s have
       equal {!Duocore.Partial.canonical_key}s, so the enumerator's one
       visited set (keyed by the canonical key) subsumes exact dedup;
+    - {b state hash}: states with equal
+      {!Duocore.Partial.canonical_key}s have equal
+      {!Duocore.Partial.canonical_hash}es, whatever the memo saw before,
+      so the visited set's hash-then-compare lookup keeps the key's
+      equivalence;
     - {b header hints}: expansion under a sketch's hints never proposes a
       child whose projections contradict the sketch's type annotations,
       so the cascade needs no types stage;
@@ -49,6 +54,7 @@ val batch_prop : Gen.scenario -> bool
 val soundness_prop : Gen.scenario -> bool
 val property1_prop : Gen.scenario * int -> bool
 val key_coarsening_prop : Gen.scenario * int -> bool
+val state_hash_prop : Gen.scenario * int -> bool
 val header_types_prop : Gen.scenario * int -> bool
 val duosem_equiv_prop : Gen.scenario -> bool
 val duosem_card_prop : Gen.scenario -> bool

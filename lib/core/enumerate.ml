@@ -407,15 +407,18 @@ type status =
   | Running
   | Finished
 
+module Visited = Hashtbl.Make (Int)
+
 type state = {
   st_config : config;
   st_ctx : Model.ctx;
   mutable st_hints : hints;  (* retargeted by [rebase] *)
   mutable st_env : Verify.env;  (* retargeted by [rebase] *)
   st_frontier : Frontier.t;
-  st_canon : (string, unit) Hashtbl.t;
-      (* the visited set: [Partial.canonical_key]s of admitted states
-         (see [push_fresh]) *)
+  st_canon : Partial.t Visited.t;
+      (* the visited set: admitted states filed by
+         [Partial.canonical_hash] (see [push_fresh]) *)
+  st_hash_memo : Partial.hash_memo;
   st_emitted : (string, unit) Hashtbl.t;
       (* Duosem canonical keys of emitted candidates *)
   st_on_candidate : candidate -> unit;
@@ -450,7 +453,8 @@ let init config ctx db ?index ?relcache ~tsq ~literals
     st_hints = hints;
     st_env = env;
     st_frontier = frontier;
-    st_canon = Hashtbl.create 4096;
+    st_canon = Visited.create 4096;
+    st_hash_memo = Partial.hash_memo ();
     st_emitted = Hashtbl.create 64;
     st_on_candidate = on_candidate;
     st_candidates = [];
@@ -489,21 +493,36 @@ let deprioritize s (child : Partial.t) =
             *. (s.st_config.static_penalty ** float_of_int n);
         }
 
-(* One visited set, keyed by [Partial.canonical_key].  A state's
-   canonical key is its [Partial.key] rendering with the predicates
-   canonicalized, so equal keys give equal canonical keys (Duocheck "key
-   coarsening"): exact repeats and states that differ only by predicate
-   order or equivalent spellings are both suppressed here, and counted
-   together in [dedup_semantic]. *)
+(* One visited set.  Admitted states are filed by
+   [Partial.canonical_hash], computed from their fields with the costly
+   parts memoized in [st_hash_memo]; canonical keys are rendered and
+   compared only on a hash hit, so the set's equivalence is exactly
+   [Partial.canonical_key]'s.  A state's canonical key is its
+   [Partial.key] rendering with the predicates canonicalized, so equal
+   keys give equal canonical keys (Duocheck "key coarsening"), and equal
+   canonical keys give equal hashes (Duocheck "state hash respects
+   canonical key"): exact repeats and states that differ only by
+   predicate order or equivalent spellings are both suppressed here, and
+   counted together in [dedup_semantic].  The set holds the admitted
+   states themselves, which share structure with the frontier. *)
 let push_fresh s (child : Partial.t) =
-  let ckey = Partial.canonical_key child in
-  if Hashtbl.mem s.st_canon ckey then begin
+  let h = Partial.canonical_hash s.st_hash_memo child in
+  let seen =
+    Visited.mem s.st_canon h
+    &&
+    let ckey = Partial.canonical_key child in
+    List.exists
+      (fun t -> String.equal (Partial.canonical_key t) ckey)
+      (Visited.find_all s.st_canon h)
+  in
+  if seen then begin
     let stats = Verify.stats s.st_env in
     stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1
   end
   else begin
-    Hashtbl.replace s.st_canon ckey ();
-    Frontier.push s.st_frontier (deprioritize s child)
+    let child = deprioritize s child in
+    Visited.add s.st_canon h child;
+    Frontier.push s.st_frontier child
   end
 
 exception Slice_exhausted

@@ -102,9 +102,25 @@ val key : t -> string
     and the verbatim join path are part of the key, keeping the
     complete-stage literal check and row-order-sensitive sketch
     satisfaction observationally equal across collapsed states.  Equal
-    {!key}s give equal canonical keys (property-tested), so the
-    enumerator's visited set uses this key alone ([dedup_semantic]). *)
+    {!key}s give equal canonical keys (property-tested).  This is the
+    reference identity of the enumerator's visited set: states are filed
+    by {!canonical_hash}, and on a hash hit their canonical keys are
+    compared ([dedup_semantic] counts the matches). *)
 val canonical_key : t -> string
+
+(** One-slot caches for {!canonical_hash}, keyed on the physical
+    predicate lists, projections and join path of the last state hashed.
+    Each run owns one; a memo must not be shared between domains. *)
+type hash_memo
+
+val hash_memo : unit -> hash_memo
+
+(** [canonical_hash memo t] hashes [t] from its fields without rendering
+    {!canonical_key}, of which it is a function: equal canonical keys
+    give equal hashes (property-tested), while unequal keys may collide.
+    Confidence and depth are not hashed.  The result does not depend on
+    [memo]'s history. *)
+val canonical_hash : hash_memo -> t -> int
 
 (** Confidence-then-join-length ordering for the best-first frontier:
     higher confidence first; ties prefer shorter join paths

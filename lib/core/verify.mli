@@ -67,8 +67,10 @@ type stats = {
   mutable dedup_semantic : int;
       (** enumerator pushes/emissions suppressed because a
           Duosem-canonically-equal state or candidate was already seen.
-          The enumerator keeps one visited set keyed by
-          [Partial.canonical_key], so this counts exact repeats of a
+          The enumerator keeps one visited set of admitted states,
+          hashed by [Partial.canonical_hash]; a push whose hash is
+          already there is suppressed when its [Partial.canonical_key]
+          equals a stored state's.  So this counts exact repeats of a
           state and its semantic twins together. *)
   mutable static_warnings : int;
       (** Duolint warnings used to deprioritize frontier pushes *)
@@ -77,7 +79,9 @@ type stats = {
   mutable batched_probes : int;
       (** row probes served by a shared base scan inside a batch round *)
   mutable stage_seconds : float array;
-      (** processor time per cascade stage, indexed by {!stage_index} *)
+      (** seconds spent in each cascade stage, indexed by
+          {!stage_index}; timed with the monotonic wall clock
+          [Clock.mono], so a descheduled stage is charged for the wait *)
 }
 
 val new_stats : unit -> stats

@@ -269,6 +269,102 @@ let test_parallel_exhaustion_identical () =
         par.Enumerate.out_pops)
     (sharded (fun () -> run_seq ~config ~tsq "names"))
 
+(* Each run owns its hash memo and visited set: runs of different NLQs
+   sharded over a 2-domain pool must each match their own sequential
+   run.  A memo shared between runs would move push or dedup counts. *)
+let test_parallel_distinct_runs () =
+  let nlqs =
+    [| "movie names and years"; "names of actors born after 1960";
+       "movies with revenue above 500"; "female actor names" |]
+  in
+  let seq = Array.map (fun nlq -> run_seq nlq) nlqs in
+  let par =
+    Duopar.Pool.with_pool ~domains:2 (fun pool ->
+        let out = Array.make (Array.length nlqs) None in
+        Duopar.Pool.run pool (Array.length nlqs) (fun ~worker:_ i ->
+            out.(i) <- Some (run_seq nlqs.(i)));
+        Array.map Option.get out)
+  in
+  let dedup (o : Enumerate.outcome) =
+    o.Enumerate.out_stats.Duocore.Verify.dedup_semantic
+  in
+  Array.iteri
+    (fun i s ->
+      check_identical s par.(i);
+      Alcotest.(check int)
+        (Printf.sprintf "same dedup_semantic for %S" nlqs.(i))
+        (dedup s) (dedup par.(i)))
+    seq;
+  Alcotest.(check bool) "the runs dedup something" true
+    (Array.exists (fun o -> dedup o > 0) seq)
+
+(* --- the visited set's hash: canonical twins hash alike --------------- *)
+
+(* A complete conjunctive state over movies with the given WHERE list. *)
+let where_state preds =
+  let name_col = Duodb.Schema.find_column_exn schema ~table:"movies" "name" in
+  { Partial.root with
+    Partial.phase = Partial.P_done;
+    kw = { Model.kw_where = true; kw_group = false; kw_order = false };
+    nproj = 1;
+    projs =
+      [ { Partial.pj_target = Model.Target_column name_col; pj_agg = Some None } ];
+    where_n = List.length preds;
+    where_preds = preds;
+    from = Some (Duosql.Ast.from_table "movies") }
+
+let state_hash t = Partial.canonical_hash (Partial.hash_memo ()) t
+
+let check_twins name a b =
+  Alcotest.(check string)
+    (name ^ ": canonical keys agree")
+    (Partial.canonical_key a) (Partial.canonical_key b);
+  Alcotest.(check int) (name ^ ": hashes agree") (state_hash a) (state_hash b)
+
+let test_canonical_hash_twins () =
+  let open Duosql.Ast in
+  let year = col "movies" "year" and revenue = col "movies" "revenue" in
+  let i n = Duodb.Value.Int n and f x = Duodb.Value.Float x in
+  check_twins "swapped predicates"
+    (where_state [ pred year Gt (i 1990); pred revenue Lt (i 500) ])
+    (where_state [ pred revenue Lt (i 500); pred year Gt (i 1990) ]);
+  check_twins "BETWEEN vs range pair, settled"
+    (where_state
+       [ between year (i 1990) (i 2000); pred revenue Ge (i 100);
+         pred revenue Le (i 700) ])
+    (where_state
+       [ pred year Ge (i 1990); pred year Le (i 2000);
+         between revenue (i 100) (i 700) ]);
+  check_twins "Int 5 vs Float 5.0"
+    (where_state [ pred year Eq (i 5) ])
+    (where_state [ pred year Eq (f 5.0) ]);
+  check_twins "floats equal under %g"
+    (where_state [ pred revenue Gt (f 0.1234567) ])
+    (where_state [ pred revenue Gt (f 0.12345671) ]);
+  let a = where_state [ pred year Gt (i 1990) ] in
+  check_twins "confidence and depth" a
+    { a with Partial.confidence = 0.25; depth = 9 };
+  let pending =
+    { a with
+      Partial.phase = Partial.P_order_target;
+      kw = { Model.kw_where = true; kw_group = false; kw_order = true } }
+  in
+  check_twins "direction without an order item" pending
+    { pending with Partial.order_dir = Desc };
+  (* one memo, one physical WHERE list, two fold decisions: AND folds
+     the settled list, OR only sorts it *)
+  let shared = [ between year (i 3) (i 3); pred revenue Gt (i 1) ] in
+  let conj = where_state shared in
+  let disj = { conj with Partial.conn = Or } in
+  let memo = Partial.hash_memo () in
+  ignore (Partial.canonical_hash memo conj);
+  Alcotest.(check int) "the memo follows the fold decision" (state_hash disj)
+    (Partial.canonical_hash memo disj);
+  (* the hash still tells states apart *)
+  let b = where_state [ pred year Gt (i 1991) ] in
+  Alcotest.(check bool) "different keys, different hashes" true
+    (state_hash a <> state_hash b)
+
 (* --- resumable stepping: pause/resume is observably identical --------- *)
 
 (* Drive a run as a sequence of [slice]-pop steps; returns the final
@@ -386,6 +482,10 @@ let suite =
       test_parallel_identical_dual;
     Alcotest.test_case "duopar: exhaustion identical" `Quick
       test_parallel_exhaustion_identical;
+    Alcotest.test_case "duopar: distinct runs identical" `Quick
+      test_parallel_distinct_runs;
+    Alcotest.test_case "canonical hash: twins collide" `Quick
+      test_canonical_hash_twins;
     Alcotest.test_case "confidence partition" `Quick test_confidence_partition;
     Alcotest.test_case "uniform mode" `Quick test_uniform_mode;
     Alcotest.test_case "done is terminal" `Quick test_done_is_terminal;
